@@ -35,9 +35,7 @@ from .diffpoly import (
     DiffMonomial,
     DiffPolynomial,
     ExponentVector,
-    add,
     degree,
-    mul,
     normalize,
     total_derivative,
     trim,
@@ -48,6 +46,7 @@ from .expansion import (
     OperatorExpansion,
     check_closed_forms,
     expand,
+    expansions,
     extract_C,
     extract_F,
     step,
@@ -63,10 +62,7 @@ from .series import (
     oracle_check,
     oracle_suite,
     random_polynomial,
-    series_add,
-    series_derivative,
     series_for_rule,
-    series_mul,
 )
 from .special_u import (
     EXP_Z,
@@ -104,7 +100,6 @@ __all__ = [
     "VerificationReport",
     "a_closed_form",
     "a_table_by_recurrence",
-    "add",
     "apply_A_repeated",
     "apply_expansion",
     "bell",
@@ -118,19 +113,16 @@ __all__ = [
     "double_factorial_odd",
     "eigenfunction_report",
     "expand",
+    "expansions",
     "extract_C",
     "extract_F",
-    "mul",
     "normalize",
     "oracle_check",
     "oracle_suite",
     "permutations_by_cycle_count",
     "polynomial_u",
     "random_polynomial",
-    "series_add",
-    "series_derivative",
     "series_for_rule",
-    "series_mul",
     "specialize",
     "step",
     "stirling1_row",

@@ -10,10 +10,13 @@ Subcommands of the ``opow`` executable:
 * ``verify``    run one or all verification suites
 
 Exit codes: 0 all checks pass / output produced, 1 a verification
-failed, 2 usage error.  The environment variable OPOW_MAX_K (default
-40) caps every k-like argument to guard against accidental huge jobs;
-note that the number of table entries per power grows like the integer
-partition function, so large k_max values get expensive quickly.
+failed, 2 usage error, 141 the reader closed the output pipe early (the
+code a shell reports for a writer killed by SIGPIPE).  The environment
+variable OPOW_MAX_K (default 40 when unset or empty; any other value
+must be an integer >= 1) caps every k-like argument to guard against
+accidental huge jobs; note that the number of table entries per power
+grows like the integer partition function, so large k_max values get
+expensive quickly.
 
 All numeric output is exact: integers or rationals rendered p/q.
 """
@@ -21,15 +24,17 @@ All numeric output is exact: integers or rationals rendered p/q.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import ctable as ctable_mod
 from . import special_u
 from .combinat import stirling1_row, stirling2_row
-from .diffpoly import DiffPolynomial, jet_symbol
+from .diffpoly import LATEX, TEXT, Notation, signed_join
 from .expansion import expand, verify_closed_forms
 from .report import VerificationReport
 from .series import oracle_suite
@@ -37,30 +42,47 @@ from .special_u import EXP_Z, IDENTITY_Z, INVERSE_Z, SpecialTerm, URule, polynom
 
 DEFAULT_MAX_K = 40
 
-SUITE_ORDER = (
-    "closed-form",
-    "cross-check",
-    "binomial",
-    "stirling2",
-    "stirling1-sum",
-    "cycle-count",
-    "doublefact",
-    "inverse-z",
-    "special-u",
-    "oracle",
-)
+# A suite runner takes k_max, the oracle seed and a zero-argument function
+# returning the shared recurrence table.  Each runner looks its verifier up
+# when called, so a wrapper installed on a module attribute sees the call.
+_SUITES: dict[str, Callable[[int, int, Callable[[], ctable_mod.CTable]], VerificationReport]] = {
+    "closed-form": lambda k_max, seed, table: verify_closed_forms(k_max),
+    "cross-check": lambda k_max, seed, table: ctable_mod.verify_cross_check(k_max),
+    "binomial": lambda k_max, seed, table: ctable_mod.verify_binomial_column(table()),
+    "stirling2": lambda k_max, seed, table: ctable_mod.verify_stirling2_corner(table()),
+    "stirling1-sum": lambda k_max, seed, table: ctable_mod.verify_stirling1_total(table()),
+    "cycle-count": lambda k_max, seed, table: ctable_mod.verify_cycle_count_total(table()),
+    "doublefact": lambda k_max, seed, table: ctable_mod.verify_factorial_weighted_total(table()),
+    "inverse-z": lambda k_max, seed, table: special_u.verify_inverse_z_table(k_max),
+    "special-u": lambda k_max, seed, table: special_u.verify_specializations(k_max),
+    "oracle": lambda k_max, seed, table: oracle_suite(k_max, seed=seed),
+}
+
+SUITE_ORDER = tuple(_SUITES)
+
+_NAMED_U: dict[str, URule | None] = {
+    "generic": None,
+    "z": IDENTITY_Z,
+    "exp": EXP_Z,
+    "inv-z": INVERSE_Z,
+}
 
 
-def _max_k() -> int:
+def _max_k(parser: argparse.ArgumentParser) -> int:
     raw = os.environ.get("OPOW_MAX_K", "")
-    try:
-        return int(raw) if raw else DEFAULT_MAX_K
-    except ValueError:
+    if not raw:
         return DEFAULT_MAX_K
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        parser.error(f"OPOW_MAX_K must be an integer >= 1, got {raw!r}")
+    return cap
 
 
 def _check_cap(parser: argparse.ArgumentParser, name: str, value: int, low: int) -> None:
-    cap = _max_k()
+    cap = _max_k(parser)
     if value < low:
         parser.error(f"{name} must be >= {low}")
     if value > cap:
@@ -71,10 +93,6 @@ def _dump_json(payload: object) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _q_str(x: Fraction) -> str:
-    return str(x)  # Fraction renders as "p/q", or just "p" when integral
-
-
 def _q_json(x: Fraction) -> int | str:
     return int(x) if x.denominator == 1 else str(x)
 
@@ -82,52 +100,24 @@ def _q_json(x: Fraction) -> int | str:
 # expand rendering -----------------------------------------------------
 
 
-def _poly_text(p: DiffPolynomial) -> str:
-    return str(p)
+class _Style(NamedTuple):
+    """The symbols of one human-readable output format."""
+
+    notation: Notation
+    d: str  # the operator d/dz
+    exp: str  # format string taking m, for the factor e^(m z)
+    group: str  # format string wrapping a coefficient polynomial
 
 
-def _latex_monomial(exps: tuple[int, ...]) -> str:
-    if not exps:
-        return "1"
-    parts = []
-    for j, e in enumerate(exps):
-        if e == 0:
-            continue
-        sym = "u" if j == 0 else ("u" + "'" * j if j <= 3 else f"u^{{({j})}}")
-        if e == 1:
-            parts.append(sym)
-        elif j == 0:
-            parts.append(f"u^{{{e}}}")
-        else:
-            parts.append(f"({sym})^{{{e}}}")
-    return " ".join(parts)
-
-
-def _poly_latex(p: DiffPolynomial) -> str:
-    pieces = []
-    for coeff, exps in p.terms:
-        mono = _latex_monomial(exps)
-        mag = abs(coeff)
-        body = mono if (mag == 1 and exps) else (f"{mag} {mono}" if exps else str(mag))
-        if not pieces:
-            pieces.append(body if coeff > 0 else f"-{body}")
-        else:
-            pieces.append(("+ " if coeff > 0 else "- ") + body)
-    return " ".join(pieces) if pieces else "0"
+_STYLES = {
+    "text": _Style(TEXT, "D", "e^({}z)", "({}) "),
+    "latex": _Style(LATEX, r"\left(\frac{d}{dz}\right)", "e^{{{} z}}", r"\left({}\right)"),
+}
 
 
 def _render_generic(k: int, fmt: str) -> None:
     exp = expand(k)
-    if fmt == "text":
-        terms = [f"({_poly_text(exp.coeffs[s])}) D^{s}" for s in range(1, k + 1)]
-        print(f"A^{k} = " + " + ".join(terms))
-    elif fmt == "latex":
-        terms = [
-            rf"\left({_poly_latex(exp.coeffs[s])}\right)\left(\frac{{d}}{{dz}}\right)^{{{s}}}"
-            for s in range(1, k + 1)
-        ]
-        print(rf"A^{{{k}}} = " + " + ".join(terms))
-    else:
+    if fmt == "json":
         payload = {
             "k": k,
             "u": "generic",
@@ -142,49 +132,31 @@ def _render_generic(k: int, fmt: str) -> None:
             ],
         }
         _dump_json(payload)
+        return
+    style = _STYLES[fmt]
+    power = style.notation.power.format
+    terms = [
+        style.group.format(exp.coeffs[s].render(style.notation)) + power(style.d, s)
+        for s in range(1, k + 1)
+    ]
+    print(power("A", k) + " = " + " + ".join(terms))
 
 
-def _special_term_text(t: SpecialTerm) -> str:
-    factors = [_q_str(abs(t.coeff))]
+def _special_term(t: SpecialTerm, style: _Style) -> str:
+    """One specialized term with the magnitude of its coefficient."""
+    power = style.notation.power.format
+    factors = [str(abs(t.coeff))]
     if t.z_exp != 0:
-        factors.append(f"z^{t.z_exp}")
+        factors.append(power("z", t.z_exp))
     if t.exp_mult != 0:
-        factors.append(f"e^({t.exp_mult}z)")
-    factors.append(f"D^{t.d_order}")
-    return " ".join(factors)
-
-
-def _special_term_latex(t: SpecialTerm) -> str:
-    factors = [_q_str(abs(t.coeff))]
-    if t.z_exp != 0:
-        factors.append(f"z^{{{t.z_exp}}}")
-    if t.exp_mult != 0:
-        factors.append(f"e^{{{t.exp_mult} z}}")
-    factors.append(rf"\left(\frac{{d}}{{dz}}\right)^{{{t.d_order}}}")
+        factors.append(style.exp.format(t.exp_mult))
+    factors.append(power(style.d, t.d_order))
     return " ".join(factors)
 
 
 def _render_special(k: int, u_label: str, rule: URule, fmt: str) -> None:
     terms = special_u.specialize(expand(k), rule)
-    if fmt == "text":
-        pieces = []
-        for t in terms:
-            body = _special_term_text(t)
-            if not pieces:
-                pieces.append(body if t.coeff > 0 else f"-{body}")
-            else:
-                pieces.append(("+ " if t.coeff > 0 else "- ") + body)
-        print(f"A^{k} = " + " ".join(pieces) if pieces else f"A^{k} = 0")
-    elif fmt == "latex":
-        pieces = []
-        for t in terms:
-            body = _special_term_latex(t)
-            if not pieces:
-                pieces.append(body if t.coeff > 0 else f"-{body}")
-            else:
-                pieces.append(("+ " if t.coeff > 0 else "- ") + body)
-        print(rf"A^{{{k}}} = " + " ".join(pieces) if pieces else rf"A^{{{k}}} = 0")
-    else:
+    if fmt == "json":
         emult = terms[0].exp_mult if terms else 0
         payload = {
             "k": k,
@@ -193,22 +165,20 @@ def _render_special(k: int, u_label: str, rule: URule, fmt: str) -> None:
             "terms": [[_q_json(t.coeff), t.z_exp, t.d_order] for t in terms],
         }
         _dump_json(payload)
+        return
+    style = _STYLES[fmt]
+    body = signed_join((t.coeff, _special_term(t, style)) for t in terms)
+    print(style.notation.power.format("A", k) + " = " + body)
 
 
-def _parse_u(parser: argparse.ArgumentParser, choice: str) -> tuple[str, URule | None]:
-    if choice == "generic":
-        return choice, None
-    if choice == "z":
-        return choice, IDENTITY_Z
-    if choice == "exp":
-        return choice, EXP_Z
-    if choice == "inv-z":
-        return choice, INVERSE_Z
+def _parse_u(parser: argparse.ArgumentParser, choice: str) -> URule | None:
+    if choice in _NAMED_U:
+        return _NAMED_U[choice]
     if choice.startswith("poly:"):
         body = choice[len("poly:"):]
         try:
             coeffs = [Fraction(tok) for tok in body.split(",") if tok != ""]
-            return choice, polynomial_u(coeffs)
+            return polynomial_u(coeffs)
         except (ValueError, ZeroDivisionError) as err:
             parser.error(f"bad polynomial coefficients {body!r}: {err}")
     parser.error(f"unknown u choice {choice!r} (use generic, z, exp, inv-z or poly:c0,c1,...)")
@@ -217,11 +187,11 @@ def _parse_u(parser: argparse.ArgumentParser, choice: str) -> tuple[str, URule |
 
 def cmd_expand(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _check_cap(parser, "--k", args.k, 1)
-    label, rule = _parse_u(parser, args.u)
+    rule = _parse_u(parser, args.u)
     if rule is None:
         _render_generic(args.k, args.format)
     else:
-        _render_special(args.k, label, rule, args.format)
+        _render_special(args.k, args.u, rule, args.format)
     return 0
 
 
@@ -290,39 +260,9 @@ def cmd_stirling(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
 
 
 def _run_suites(names: list[str], k_max: int, seed: int) -> list[VerificationReport]:
-    table = None
-
-    def shared_table() -> ctable_mod.CTable:
-        nonlocal table
-        if table is None:
-            table = ctable_mod.c_table_by_recurrence(k_max)
-        return table
-
-    reports = []
-    for name in names:
-        if name == "closed-form":
-            reports.append(verify_closed_forms(k_max))
-        elif name == "cross-check":
-            reports.append(ctable_mod.verify_cross_check(k_max))
-        elif name == "binomial":
-            reports.append(ctable_mod.verify_binomial_column(shared_table()))
-        elif name == "stirling2":
-            reports.append(ctable_mod.verify_stirling2_corner(shared_table()))
-        elif name == "stirling1-sum":
-            reports.append(ctable_mod.verify_stirling1_total(shared_table()))
-        elif name == "cycle-count":
-            reports.append(ctable_mod.verify_cycle_count_total(shared_table()))
-        elif name == "doublefact":
-            reports.append(ctable_mod.verify_factorial_weighted_total(shared_table()))
-        elif name == "inverse-z":
-            reports.append(special_u.verify_inverse_z_table(k_max))
-        elif name == "special-u":
-            reports.append(special_u.verify_specializations(k_max))
-        elif name == "oracle":
-            reports.append(oracle_suite(k_max, seed=seed))
-        else:  # pragma: no cover - argparse choices prevent this
-            raise ValueError(f"unknown suite {name}")
-    return reports
+    """Run the named suites in order; the recurrence table is built at most once."""
+    table = functools.cache(lambda: ctable_mod.c_table_by_recurrence(k_max))
+    return [_SUITES[name](k_max, seed, table) for name in names]
 
 
 def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
@@ -392,4 +332,18 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """Entry point of the ``opow`` executable and of ``python -m opow``.
+
+    A reader that closes the pipe early (``opow ctable | head -1``) ends
+    the run with exit code 141 and no traceback.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # As the signal module docs advise for SIGPIPE: point stdout at
+        # devnull so that the flush at interpreter exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(141)  # 128 + SIGPIPE
+    sys.exit(code)

@@ -29,6 +29,7 @@ double-factorial weighted sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable
 
 from .combinat import (
@@ -40,7 +41,7 @@ from .combinat import (
     stirling2,
 )
 from .diffpoly import ExponentVector, trim
-from .expansion import expand, extract_C, step
+from .expansion import expansions, extract_C
 from .report import VerificationReport
 
 import math
@@ -126,9 +127,7 @@ def c_table_from_expansions(k_max: int) -> CTable:
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
     entries: dict[CKey, int] = {}
-    exp = expand(1)
-    while exp.k < k_max:
-        exp = step(exp)
+    for exp in islice(expansions(k_max), 1, None):
         for e in extract_C(exp):
             entries[(e.k, e.s, e.m, e.alpha)] = e.value
     return CTable(k_max, entries)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
+from numbers import Rational
 from typing import Iterable, Iterator, NamedTuple
 
 ExponentVector = tuple[int, ...]
@@ -55,29 +56,56 @@ class DiffMonomial(NamedTuple):
     exps: ExponentVector
 
 
-def jet_symbol(j: int) -> str:
+class Notation(NamedTuple):
+    """How one output format spells a power and a jet above u'''."""
+
+    power: str  # format string taking (base, exponent)
+    high_jet: str  # format string taking the jet index j > 3
+
+
+TEXT = Notation("{}^{}", "u^({})")
+LATEX = Notation("{}^{{{}}}", "u^{{({})}}")
+
+
+def jet_symbol(j: int, notation: Notation = TEXT) -> str:
     if j == 0:
         return "u"
     if j <= 3:
         return "u" + "'" * j
-    return f"u^({j})"
+    return notation.high_jet.format(j)
 
 
-def monomial_str(exps: ExponentVector) -> str:
+def monomial_str(exps: ExponentVector, notation: Notation = TEXT) -> str:
     if not exps:
         return "1"
     parts = []
     for j, e in enumerate(exps):
         if e == 0:
             continue
-        sym = jet_symbol(j)
+        sym = jet_symbol(j, notation)
         if e == 1:
             parts.append(sym)
         elif j == 0:
-            parts.append(f"u^{e}")
+            parts.append(notation.power.format("u", e))
         else:
-            parts.append(f"({sym})^{e}")
+            parts.append(notation.power.format(f"({sym})", e))
     return " ".join(parts)
+
+
+def signed_join(terms: Iterable[tuple[Rational, str]]) -> str:
+    """Join nonzero (coefficient, body) pairs as ``a + b - c``.
+
+    Each body spells the magnitude of its coefficient; the sign comes
+    from the coefficient, bare on the first term and spaced after it.
+    The empty sum is ``0``.
+    """
+    pieces = []
+    for coeff, body in terms:
+        if not pieces:
+            pieces.append(body if coeff > 0 else f"-{body}")
+        else:
+            pieces.append(("+ " if coeff > 0 else "- ") + body)
+    return " ".join(pieces) if pieces else "0"
 
 
 @dataclass(frozen=True)
@@ -157,24 +185,20 @@ class DiffPolynomial:
     def derivative(self) -> "DiffPolynomial":
         return total_derivative(self)
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for i, (coeff, exps) in enumerate(self.terms):
-            mono = monomial_str(exps)
+    def render(self, notation: Notation = TEXT) -> str:
+        """The polynomial as a signed sum in the given notation."""
+
+        def body(coeff: int, exps: ExponentVector) -> str:
             mag = abs(coeff)
             if not exps:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag} {mono}"
-            if i == 0:
-                pieces.append(body if coeff > 0 else f"-{body}")
-            else:
-                pieces.append(("+ " if coeff > 0 else "- ") + body)
-        return " ".join(pieces)
+                return str(mag)
+            mono = monomial_str(exps, notation)
+            return mono if mag == 1 else f"{mag} {mono}"
+
+        return signed_join((coeff, body(coeff, exps)) for coeff, exps in self.terms)
+
+    def __str__(self) -> str:
+        return self.render()
 
 
 def normalize(monomials: Iterable[DiffMonomial | tuple[int, Iterable[int]]]) -> DiffPolynomial:
@@ -193,14 +217,6 @@ def normalize(monomials: Iterable[DiffMonomial | tuple[int, Iterable[int]]]) -> 
         if acc[key] != 0
     )
     return DiffPolynomial(terms)
-
-
-def add(a: DiffPolynomial, b: DiffPolynomial) -> DiffPolynomial:
-    return a + b
-
-
-def mul(a: DiffPolynomial, b: DiffPolynomial) -> DiffPolynomial:
-    return a * b
 
 
 def total_derivative(p: DiffPolynomial) -> DiffPolynomial:

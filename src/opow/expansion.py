@@ -23,7 +23,8 @@ table entries served by :func:`extract_C`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import islice
+from typing import Iterator, NamedTuple
 
 from .diffpoly import (
     DiffMonomial,
@@ -58,17 +59,26 @@ class CEntry(NamedTuple):
     value: int
 
 
-def expand(k: int) -> OperatorExpansion:
-    """Normal-ordered coefficients of A^k, k >= 1.
+def expansions(k_max: int) -> Iterator[OperatorExpansion]:
+    """Yield A^1, A^2, ..., A^k_max, each built from the one before by :func:`step`.
 
-    The zeroth power is deliberately not defined; the expansion starts
-    with the single term u * d/dz.
+    The zeroth power is deliberately not defined; the walk starts with
+    the single term u * d/dz.  A k_max below 1 raises ValueError on the
+    first iteration.
     """
-    if k < 1:
+    if k_max < 1:
         raise ValueError("operator power must be a positive integer")
     exp = OperatorExpansion(1, {1: U})
-    while exp.k < k:
+    yield exp
+    while exp.k < k_max:
         exp = step(exp)
+        yield exp
+
+
+def expand(k: int) -> OperatorExpansion:
+    """Normal-ordered coefficients of A^k, k >= 1: the last power of the walk."""
+    for exp in expansions(k):
+        pass
     return exp
 
 
@@ -157,8 +167,6 @@ def verify_closed_forms(k_max: int) -> VerificationReport:
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
     report = VerificationReport(suite="closed-form", k_max=k_max)
-    exp = expand(1)
-    while exp.k < k_max:
-        exp = step(exp)
+    for exp in islice(expansions(k_max), 1, None):
         _check_one(report, exp)
     return report

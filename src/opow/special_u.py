@@ -28,7 +28,7 @@ from typing import Iterable, NamedTuple
 
 from .combinat import bell, binomial, double_factorial_odd, stirling1_unsigned, stirling2
 from .diffpoly import DiffMonomial, degree
-from .expansion import OperatorExpansion, expand, step
+from .expansion import OperatorExpansion, expansions
 from .report import VerificationReport
 
 _KINDS = ("z", "exp", "inv-z", "poly")
@@ -215,10 +215,8 @@ def verify_inverse_z_table(k_max: int) -> VerificationReport:
     the closed form, and the u = 1/z specialization of the expansion."""
     report = VerificationReport(suite="inverse-z", k_max=k_max)
     table = a_table_by_recurrence(k_max)
-    exp = expand(1)
-    for k in range(1, k_max + 1):
-        if exp.k < k:
-            exp = step(exp)
+    for exp in expansions(k_max):
+        k = exp.k
         coeffs = _inverse_z_coeffs(exp)
         for s in range(1, k + 1):
             rec = table.value(k, s)
@@ -237,11 +235,8 @@ def verify_specializations(k_max: int) -> VerificationReport:
     alternating double-factorial display form term by term.
     """
     report = VerificationReport(suite="special-u", k_max=k_max)
-    exp = expand(1)
-    for k in range(1, k_max + 1):
-        if exp.k < k:
-            exp = step(exp)
-
+    for exp in expansions(k_max):
+        k = exp.k
         terms = specialize(exp, IDENTITY_Z)
         report.expect_equal(f"k={k} u=z term count", k, len(terms))
         for t in terms:

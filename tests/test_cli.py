@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from opow.cli import main
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -51,6 +57,55 @@ def test_expand_latex(capsys):
     assert code == 0
     assert out.startswith("A^{2} = ")
     assert r"\frac{d}{dz}" in out
+
+
+K5_TEXT = (
+    "A^5 = (u (u')^4 + 11 u^2 (u')^2 u'' + 4 u^3 (u'')^2 + 7 u^3 u' u''' + u^4 u^(4)) D^1"
+    " + (15 u^2 (u')^3 + 30 u^3 u' u'' + 5 u^4 u''') D^2"
+    " + (25 u^3 (u')^2 + 10 u^4 u'') D^3 + (10 u^4 u') D^4 + (u^5) D^5\n"
+)
+
+K5_LATEX = (
+    r"A^{5} = \left(u (u')^{4} + 11 u^{2} (u')^{2} u'' + 4 u^{3} (u'')^{2}"
+    r" + 7 u^{3} u' u''' + u^{4} u^{(4)}\right)\left(\frac{d}{dz}\right)^{1}"
+    r" + \left(15 u^{2} (u')^{3} + 30 u^{3} u' u'' + 5 u^{4} u'''\right)\left(\frac{d}{dz}\right)^{2}"
+    r" + \left(25 u^{3} (u')^{2} + 10 u^{4} u''\right)\left(\frac{d}{dz}\right)^{3}"
+    r" + \left(10 u^{4} u'\right)\left(\frac{d}{dz}\right)^{4}"
+    r" + \left(u^{5}\right)\left(\frac{d}{dz}\right)^{5}" "\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["expand", "--k", "5"], K5_TEXT),
+        (["expand", "--k", "5", "--format", "latex"], K5_LATEX),
+        (
+            ["expand", "--k", "3", "--u", "exp"],
+            "A^3 = 2 e^(3z) D^1 + 3 e^(3z) D^2 + 1 e^(3z) D^3\n",
+        ),
+        (
+            ["expand", "--k", "3", "--u", "exp", "--format", "latex"],
+            r"A^{3} = 2 e^{3 z} \left(\frac{d}{dz}\right)^{1}"
+            r" + 3 e^{3 z} \left(\frac{d}{dz}\right)^{2}"
+            r" + 1 e^{3 z} \left(\frac{d}{dz}\right)^{3}" "\n",
+        ),
+        (
+            ["expand", "--k", "3", "--u", "inv-z", "--format", "latex"],
+            r"A^{3} = 3 z^{-5} \left(\frac{d}{dz}\right)^{1}"
+            r" - 3 z^{-4} \left(\frac{d}{dz}\right)^{2}"
+            r" + 1 z^{-3} \left(\frac{d}{dz}\right)^{3}" "\n",
+        ),
+        (
+            ["expand", "--k", "2", "--u", "poly:-1/2,0,3"],
+            "A^2 = -3 z^1 D^1 + 18 z^3 D^1 + 1/4 D^2 - 3 z^2 D^2 + 9 z^4 D^2\n",
+        ),
+    ],
+)
+def test_expand_golden_renderings(capsys, argv, expected):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == expected
 
 
 def test_expand_generic_json(capsys):
@@ -156,6 +211,12 @@ def test_env_cap_enforced(monkeypatch, capsys):
     capsys.readouterr()
     assert main(["expand", "--k", "5"]) == 0
     capsys.readouterr()
+    for bad in ("abc", "-5", "0"):
+        monkeypatch.setenv("OPOW_MAX_K", bad)
+        with pytest.raises(SystemExit) as err:
+            main(["expand", "--k", "2"])
+        assert err.value.code == 2
+        assert f"OPOW_MAX_K must be an integer >= 1, got {bad!r}" in capsys.readouterr().err
 
 
 def test_default_cap_allows_forty(monkeypatch, capsys):
@@ -165,3 +226,19 @@ def test_default_cap_allows_forty(monkeypatch, capsys):
     with pytest.raises(SystemExit):
         main(["atable", "--k-max", "41"])
     capsys.readouterr()
+
+
+def test_closed_pipe_exits_quietly():
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "opow", "expand", "--k", "20", "--format", "json"],
+        cwd=REPO,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert err == b""
+    assert proc.returncode == 141

@@ -4,9 +4,7 @@ from hypothesis import given, strategies as st
 from opow.diffpoly import (
     DiffMonomial,
     DiffPolynomial,
-    add,
     degree,
-    mul,
     normalize,
     total_derivative,
     trim,
@@ -46,16 +44,16 @@ def test_normalize_graded_lex_order():
 
 
 def test_add_identity_and_like_terms():
-    assert add(U, DiffPolynomial.zero()) == U
-    assert add(U * U1, 2 * (U * U1)) == 3 * (U * U1)
-    s = add(U * U1 * U1, U * U * U2)
+    assert U + DiffPolynomial.zero() == U
+    assert U * U1 + 2 * (U * U1) == 3 * (U * U1)
+    s = U * U1 * U1 + U * U * U2
     assert [m.exps for m in s.terms] == [(1, 2), (2, 0, 1)]
 
 
 def test_mul_examples():
-    assert mul(U, U) == DiffPolynomial.u_power(2)
-    assert mul(DiffPolynomial.u_power(2), U1) == DiffPolynomial.monomial(1, (2, 1))
-    assert mul(U + U1, U - U1) == DiffPolynomial.u_power(2) - U1 * U1
+    assert U * U == DiffPolynomial.u_power(2)
+    assert DiffPolynomial.u_power(2) * U1 == DiffPolynomial.monomial(1, (2, 1))
+    assert (U + U1) * (U - U1) == DiffPolynomial.u_power(2) - U1 * U1
 
 
 def test_total_derivative_examples():

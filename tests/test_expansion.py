@@ -7,6 +7,7 @@ from opow.expansion import (
     CEntry,
     check_closed_forms,
     expand,
+    expansions,
     extract_C,
     extract_F,
     step,
@@ -69,6 +70,17 @@ def test_degree_weight_and_positivity(k):
             assert mono.coeff > 0
             assert degree(mono.exps) == k
             assert weight(mono.exps) == k - s
+
+
+def test_expansions_walks_every_power():
+    k = 7
+    walked = list(expansions(k))
+    assert len(walked) == k
+    for j in range(1, k + 1):
+        assert walked[j - 1] == expand(j)
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            next(expansions(bad))
 
 
 @pytest.mark.parametrize("k", range(1, 8))

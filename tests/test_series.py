@@ -13,9 +13,7 @@ from opow.series import (
     oracle_check,
     oracle_suite,
     random_polynomial,
-    series_derivative,
     series_for_rule,
-    series_mul,
 )
 from opow.special_u import EXP_Z, INVERSE_Z, polynomial_u
 
@@ -49,15 +47,15 @@ def test_derivative_examples():
 
 def test_derivative_lowers_precision():
     s = LaurentSeries.from_terms({0: 1, 1: 1}, prec=4)
-    d = series_derivative(s)
+    d = s.derivative()
     assert d.prec == 3
     assert d.coeff(0) == 1
 
 
 def test_mul_examples():
-    assert series_mul(Z(1), Z(1)) == Z(2)
-    assert series_mul(P([1, 1]), P([1, -1])) == P([1, 0, -1])  # 1 - z^2
-    assert series_mul(Z(-1), Z(2)) == Z(1)
+    assert Z(1) * Z(1) == Z(2)
+    assert P([1, 1]) * P([1, -1]) == P([1, 0, -1])  # 1 - z^2
+    assert Z(-1) * Z(2) == Z(1)
 
 
 def test_mul_precision_rule():
@@ -192,3 +190,7 @@ def test_str_rendering():
     assert str(Z(-3, Q(1, 2))) == "1/2 z^-3"
     assert str(LaurentSeries.from_terms({0: 1}, prec=4)) == "1 + O(z^4)"
     assert str(LaurentSeries.zero()) == "0"
+    assert str(P([Q(-3, 4), 1, -1], -1)) == "-3/4 z^-1 + 1 - z"
+    assert str(LaurentSeries.from_terms({-2: -1, 1: Q(5, 3), 2: -2}, prec=4)) == (
+        "-z^-2 + 5/3 z - 2 z^2 + O(z^4)"
+    )
