@@ -6,21 +6,28 @@ evaluating the normal-ordered coefficient polynomials on the same
 series.  The two routes share no code, so exact agreement is a real
 check of the expansion engine.
 
-A series stores a dense block of Fraction coefficients starting at
+A series stores a dense block of exact coefficients starting at
 ``min_exp`` together with a precision bound ``prec``: coefficients of
-exponent >= prec are unknown.  ``prec=None`` means every coefficient is
-known, which is the case for the Laurent polynomials the oracle runs
-on; finite precision only enters for genuinely infinite series such as
-a truncated exponential.  Precision propagates through arithmetic:
-differentiation lowers it by one, and a product is trustworthy up to
-min(a.prec + b.min_exp, b.prec + a.min_exp).
+exponent >= prec are unknown.  An integral coefficient is a plain
+``int`` and any other is a ``fractions.Fraction``; Python's numeric
+tower keeps mixed arithmetic exact, so integer polynomials (every
+random oracle input) never pay for Fraction arithmetic.  ``prec=None``
+means every coefficient is known, which is the case for the Laurent
+polynomials the oracle runs on; finite precision only enters for
+genuinely infinite series such as a truncated exponential.  Precision
+propagates through arithmetic: differentiation lowers it by one, and a
+product is trustworthy up to min(a.prec + b.min_exp, b.prec + a.min_exp).
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul, neg
 from typing import Iterable, Mapping
 
 from .diffpoly import DiffPolynomial, signed_join
@@ -33,35 +40,48 @@ class PrecisionExhausted(ArithmeticError):
     """A computed series retained no known nonzero coefficient window."""
 
 
-Q = Fraction
+Exact = int | Fraction
+_INT_ONLY = frozenset({int})
 
 
-def _as_fraction(x: int | Fraction) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _exact(x: object) -> Exact:
+    """Exact coercion: an integral rational becomes int, any other
+    rational stays a Fraction; anything inexact is a TypeError."""
+    if not isinstance(x, numbers.Rational):
+        raise TypeError(f"series coefficients must be exact rationals, not {type(x).__name__}")
+    if x.denominator == 1:
+        return int(x.numerator)
+    return x if type(x) is Fraction else Fraction(x.numerator, x.denominator)
+
+
+def _min_prec(a: int | None, b: int | None) -> int | None:
+    if a is None:
+        return b
+    return a if b is None else min(a, b)
 
 
 @dataclass(frozen=True)
 class LaurentSeries:
     min_exp: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Exact, ...]
     prec: int | None = None
 
     def __post_init__(self) -> None:
-        coeffs = [_as_fraction(c) for c in self.coeffs]
+        coeffs = self.coeffs
         min_exp = self.min_exp
         if self.prec is not None:
             # drop unknown territory
-            keep = self.prec - min_exp
-            coeffs = coeffs[: max(keep, 0)]
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-            min_exp += 1
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        if not coeffs:
-            min_exp = 0
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "min_exp", min_exp)
+            coeffs = coeffs[: max(self.prec - min_exp, 0)]
+        # int arithmetic stays int, so only other types need coercing
+        if not _INT_ONLY.issuperset(map(type, coeffs)):
+            coeffs = [_exact(c) for c in coeffs]
+        lo, hi = 0, len(coeffs)
+        while lo < hi and coeffs[lo] == 0:
+            lo += 1
+        while hi > lo and coeffs[hi - 1] == 0:
+            hi -= 1
+        object.__setattr__(self, "coeffs", tuple(coeffs[lo:hi]))
+        object.__setattr__(self, "min_exp", min_exp + lo if hi > lo else 0)
 
     # construction ---------------------------------------------------
 
@@ -70,24 +90,23 @@ class LaurentSeries:
         return cls(0, (), prec)
 
     @classmethod
-    def polynomial(cls, coeffs: Iterable[int | Fraction], min_exp: int = 0) -> "LaurentSeries":
+    def polynomial(cls, coeffs: Iterable[Exact], min_exp: int = 0) -> "LaurentSeries":
         """Exact finite series: coeffs[i] multiplies z^(min_exp + i)."""
-        return cls(min_exp, tuple(_as_fraction(c) for c in coeffs), None)
+        return cls(min_exp, tuple(coeffs), None)
 
     @classmethod
-    def z_power(cls, n: int, coeff: int | Fraction = 1) -> "LaurentSeries":
-        return cls(n, (_as_fraction(coeff),), None)
+    def z_power(cls, n: int, coeff: Exact = 1) -> "LaurentSeries":
+        return cls(n, (coeff,), None)
 
     @classmethod
     def from_terms(
-        cls, terms: Mapping[int, int | Fraction], prec: int | None = None
+        cls, terms: Mapping[int, Exact], prec: int | None = None
     ) -> "LaurentSeries":
         if not terms:
             return cls.zero(prec)
         lo = min(terms)
         hi = max(terms)
-        dense = [_as_fraction(terms.get(e, 0)) for e in range(lo, hi + 1)]
-        return cls(lo, tuple(dense), prec)
+        return cls(lo, tuple(terms.get(e, 0) for e in range(lo, hi + 1)), prec)
 
     # inspection -----------------------------------------------------
 
@@ -98,15 +117,15 @@ class LaurentSeries:
     def known(self, e: int) -> bool:
         return self.prec is None or e < self.prec
 
-    def coeff(self, e: int) -> Fraction:
+    def coeff(self, e: int) -> Exact:
         if not self.known(e):
             raise ValueError(f"coefficient of z^{e} is beyond precision {self.prec}")
         i = e - self.min_exp
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return Q(0)
+        return 0
 
-    def items(self) -> list[tuple[int, Fraction]]:
+    def items(self) -> list[tuple[int, Exact]]:
         return [
             (self.min_exp + i, c) for i, c in enumerate(self.coeffs) if c != 0
         ]
@@ -117,22 +136,19 @@ class LaurentSeries:
             return self.min_exp
         return self.prec if self.prec is not None else 0
 
+    def _known_below(self, bound: int) -> "LaurentSeries":
+        # the exact series of the coefficients below z^bound
+        return LaurentSeries(self.min_exp, self.coeffs[: max(bound - self.min_exp, 0)])
+
     def agrees_with(self, other: "LaurentSeries") -> bool:
         """Equal on every exponent known to both series."""
-        bound = None
-        for p in (self.prec, other.prec):
-            if p is not None:
-                bound = p if bound is None else min(bound, p)
-        exps = {e for e, _ in self.items()} | {e for e, _ in other.items()}
-        for e in exps:
-            if bound is not None and e >= bound:
-                continue
-            if self.coeff(e) != other.coeff(e):
-                return False
-        return True
+        bound = _min_prec(self.prec, other.prec)
+        if bound is None:
+            return self == other
+        return self._known_below(bound) == other._known_below(bound)
 
     def __str__(self) -> str:
-        def body(e: int, mag: Fraction) -> str:
+        def body(e: int, mag: Exact) -> str:
             if e == 0:
                 return str(mag)
             factor = "z" if e == 1 else f"z^{e}"
@@ -146,31 +162,37 @@ class LaurentSeries:
     # arithmetic -----------------------------------------------------
 
     def derivative(self) -> "LaurentSeries":
-        terms = {e - 1: e * c for e, c in self.items() if e != 0}
+        m = self.min_exp
+        coeffs = tuple(map(mul, self.coeffs, range(m, m + len(self.coeffs))))
         prec = None if self.prec is None else self.prec - 1
-        return LaurentSeries.from_terms(terms, prec)
+        return LaurentSeries(m - 1, coeffs, prec)
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        prec = None
-        for p in (self.prec, other.prec):
-            if p is not None:
-                prec = p if prec is None else min(prec, p)
-        terms: dict[int, Fraction] = dict(self.items())
-        for e, c in other.items():
-            terms[e] = terms.get(e, Q(0)) + c
-        return LaurentSeries.from_terms(terms, prec)
+        prec = _min_prec(self.prec, other.prec)
+        a, b = self, other
+        if a.min_exp > b.min_exp:
+            a, b = b, a
+        i = b.min_exp - a.min_exp
+        j = i + len(b.coeffs)
+        out = list(a.coeffs)
+        out.extend(repeat(0, j - len(out)))
+        out[i:j] = map(add, out[i:j], b.coeffs)
+        return LaurentSeries(a.min_exp, tuple(out), prec)
 
     def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries(self.min_exp, tuple(-c for c in self.coeffs), self.prec)
+        return LaurentSeries(self.min_exp, tuple(map(neg, self.coeffs)), self.prec)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self + (-other)
 
     def __mul__(self, other: "LaurentSeries | int | Fraction") -> "LaurentSeries":
-        if isinstance(other, (int, Fraction)):
-            return LaurentSeries(
-                self.min_exp, tuple(c * other for c in self.coeffs), self.prec
-            )
+        if not isinstance(other, LaurentSeries):
+            try:
+                scalar = _exact(other)
+            except TypeError:
+                return NotImplemented
+            coeffs = tuple(map(mul, self.coeffs, repeat(scalar)))
+            return LaurentSeries(self.min_exp, coeffs, self.prec)
         # an exact zero annihilates regardless of the other factor's precision
         if self.is_zero() and self.prec is None:
             return LaurentSeries.zero()
@@ -180,16 +202,20 @@ class LaurentSeries:
         if self.prec is not None:
             prec = self.prec + other._min_for_prec()
         if other.prec is not None:
-            q = other.prec + self._min_for_prec()
-            prec = q if prec is None else min(prec, q)
-        terms: dict[int, Fraction] = {}
-        for ea, ca in self.items():
-            for eb, cb in other.items():
-                e = ea + eb
-                if prec is not None and e >= prec:
-                    continue
-                terms[e] = terms.get(e, Q(0)) + ca * cb
-        return LaurentSeries.from_terms(terms, prec)
+            prec = _min_prec(prec, other.prec + self._min_for_prec())
+        # dense convolution, clipped to the product's known window
+        # one slice update per coefficient of the shorter factor
+        lo = self.min_exp + other.min_exp
+        a, b = sorted((self.coeffs, other.coeffs), key=len)
+        n = len(a) + len(b) - 1
+        if prec is not None:
+            n = min(n, prec - lo)
+        n = max(n, 0)
+        out = [0] * n
+        for i, ca in enumerate(a[:n]):
+            j = min(n, i + len(b))
+            out[i:j] = map(add, out[i:j], map(mul, repeat(ca), b))
+        return LaurentSeries(lo, tuple(out), prec)
 
     __rmul__ = __mul__
 
@@ -266,10 +292,8 @@ def series_for_rule(rule: URule, prec: int | None = None) -> LaurentSeries:
         return LaurentSeries.polynomial(rule.coeffs)
     if prec is None:
         raise ValueError("the exponential substitution needs a finite precision")
-    import math
-
     return LaurentSeries(
-        0, tuple(Q(1, math.factorial(n)) for n in range(max(prec, 0))), prec
+        0, tuple(Fraction(1, math.factorial(n)) for n in range(max(prec, 0))), prec
     )
 
 
@@ -293,9 +317,7 @@ def _compare_routes(
     """Record one check: A^k applied to f literally and via the expansion agree."""
     brute = apply_A_repeated(u, f, exp.k)
     via_expansion = apply_expansion(exp, u, f)
-    report.expect(
-        brute.agrees_with(via_expansion), location, str(brute), str(via_expansion)
-    )
+    report.expect(brute.agrees_with(via_expansion), location, brute, via_expansion)
 
 
 def oracle_check(

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Rational
 from typing import Iterable, NamedTuple
 
 from .combinat import bell, binomial, double_factorial_odd, stirling1_unsigned, stirling2
@@ -58,7 +59,12 @@ INVERSE_Z = URule("inv-z")
 
 
 def polynomial_u(coeffs: Iterable[int | Fraction]) -> URule:
-    """Substitution u = c0 + c1 z + c2 z^2 + ... with exact coefficients."""
+    """Substitution u = c0 + c1 z + c2 z^2 + ... with exact coefficients;
+    an inexact coefficient such as a float is a TypeError."""
+    coeffs = tuple(coeffs)
+    for c in coeffs:
+        if not isinstance(c, Rational):
+            raise TypeError(f"polynomial coefficients must be exact rationals, not {type(c).__name__}")
     return URule("poly", tuple(Fraction(c) for c in coeffs))
 
 

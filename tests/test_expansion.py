@@ -145,3 +145,22 @@ def test_verify_closed_forms_sweep():
     report = verify_closed_forms(12)
     assert report.ok
     assert report.checks == 2 * 11
+
+
+def partition_numbers(n_max):
+    """p(0..n_max) by the recurrence over partitions with parts <= m."""
+    p = [1] + [0] * n_max
+    for m in range(1, n_max + 1):
+        for n in range(m, n_max + 1):
+            p[n] += p[n - m]
+    return p
+
+
+def test_term_count_is_partition_number_to_k20():
+    # every coefficient is positive, so no monomial cancels: the (d/dz)^(k-s)
+    # coefficient of A^k has one monomial per partition of s
+    p = partition_numbers(19)
+    assert p[:8] == [1, 1, 2, 3, 5, 7, 11, 15]
+    for exp in expansions(20):
+        k = exp.k
+        assert [len(exp.coeffs[k - s].terms) for s in range(1, k)] == p[1:k], k

@@ -1,8 +1,12 @@
 import random
+from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+from opow.diffpoly import normalize
 from opow.expansion import expand
 from opow.series import (
     LaurentSeries,
@@ -194,3 +198,177 @@ def test_str_rendering():
     assert str(LaurentSeries.from_terms({-2: -1, 1: Q(5, 3), 2: -2}, prec=4)) == (
         "-z^-2 + 5/3 z - 2 z^2 + O(z^4)"
     )
+
+
+# A naive reference: a series is ({exponent: Fraction} of its nonzero known
+# coefficients, prec), built from the raw constructor arguments.
+
+def ref_of(min_exp, coeffs, prec):
+    terms = {min_exp + i: Fraction(c) for i, c in enumerate(coeffs) if c != 0}
+    if prec is not None:
+        terms = {e: c for e, c in terms.items() if e < prec}
+    return terms, prec
+
+
+def ref_clip(terms, prec):
+    return {e: c for e, c in terms.items() if c != 0 and (prec is None or e < prec)}, prec
+
+
+def ref_min(p, q):
+    return p if q is None else q if p is None else min(p, q)
+
+
+def ref_add(a, b, sign=1):
+    terms = dict(a[0])
+    for e, c in b[0].items():
+        terms[e] = terms.get(e, 0) + sign * c
+    return ref_clip(terms, ref_min(a[1], b[1]))
+
+
+def ref_mul(a, b):
+    if (not a[0] and a[1] is None) or (not b[0] and b[1] is None):
+        return {}, None
+
+    def lowest(x):
+        return min(x[0]) if x[0] else (x[1] if x[1] is not None else 0)
+
+    prec = None
+    if a[1] is not None:
+        prec = a[1] + lowest(b)
+    if b[1] is not None:
+        prec = ref_min(prec, b[1] + lowest(a))
+    terms = {}
+    for ea, ca in a[0].items():
+        for eb, cb in b[0].items():
+            terms[ea + eb] = terms.get(ea + eb, 0) + ca * cb
+    return ref_clip(terms, prec)
+
+
+def ref_derivative(a):
+    terms = {e - 1: e * c for e, c in a[0].items()}
+    return ref_clip(terms, None if a[1] is None else a[1] - 1)
+
+
+def ref_agrees(a, b):
+    bound = ref_min(a[1], b[1])
+    return ref_clip(a[0], bound) == ref_clip(b[0], bound)
+
+
+def ref_str(a):
+    pieces = []
+    for e in sorted(a[0]):
+        c = a[0][e]
+        mag = abs(c)
+        factor = "" if e == 0 else "z" if e == 1 else f"z^{e}"
+        body = str(mag) if not factor else factor if mag == 1 else f"{mag} {factor}"
+        sign = ("-" if c < 0 else "") if not pieces else ("- " if c < 0 else "+ ")
+        pieces.append(sign + body)
+    text = " ".join(pieces) or "0"
+    return text if a[1] is None else f"{text} + O(z^{a[1]})"
+
+
+def as_ref(s):
+    """Check the representation invariants of s and read it back as a reference."""
+    if s.coeffs:
+        assert s.coeffs[0] != 0 and s.coeffs[-1] != 0
+        assert s.prec is None or s.min_exp + len(s.coeffs) <= s.prec
+    else:
+        assert s.min_exp == 0
+    for c in s.coeffs:
+        assert type(c) is (int if c.denominator == 1 else Fraction)
+    return {s.min_exp + i: c for i, c in enumerate(s.coeffs) if c != 0}, s.prec
+
+
+exact_values = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+    st.just(0),
+    st.just(Fraction(0)),
+)
+
+
+@st.composite
+def series_and_ref(draw):
+    min_exp = draw(st.integers(-5, 5))
+    coeffs = tuple(draw(st.lists(exact_values, max_size=7)))
+    prec = draw(st.one_of(st.none(), st.integers(min_exp - 2, min_exp + 9)))
+    return LaurentSeries(min_exp, coeffs, prec), ref_of(min_exp, coeffs, prec)
+
+
+@given(series_and_ref(), series_and_ref())
+def test_arithmetic_matches_naive_reference(x, y):
+    (a, ra), (b, rb) = x, y
+    assert as_ref(a) == ra and as_ref(b) == rb
+    assert as_ref(a * b) == ref_mul(ra, rb)
+    assert as_ref(a + b) == ref_add(ra, rb)
+    assert as_ref(a - b) == ref_add(ra, rb, -1)
+    assert as_ref(a.derivative()) == ref_derivative(ra)
+    assert a.agrees_with(b) == ref_agrees(ra, rb)
+    assert a.agrees_with(a * 1)
+    assert str(a) == ref_str(ra)
+
+
+@given(series_and_ref(), exact_values)
+def test_scalar_multiplication_matches_naive_reference(x, c):
+    a, ra = x
+    expected = ref_clip({e: v * c for e, v in ra[0].items()}, ra[1])
+    assert as_ref(a * c) == expected
+    assert as_ref(c * a) == expected
+
+
+def test_integral_fraction_is_stored_as_int():
+    from_fraction = P([Fraction(2), Fraction(6, 3)], min_exp=-1)
+    from_int = P([2, 2], min_exp=-1)
+    assert from_fraction == from_int
+    assert hash(from_fraction) == hash(from_int)
+    assert all(type(c) is int for c in from_fraction.coeffs)
+    assert type((Z(0, Q(1, 2)) * Z(0, 2)).coeffs[0]) is int
+
+
+INEXACT_BUILDS = {
+    "polynomial-float": lambda: P([Q(1, 10), 0.1]),
+    "polynomial-decimal": lambda: P([1, Decimal("0.5")]),
+    "polynomial-str": lambda: P(["1"]),
+    "z_power-float": lambda: Z(2, 0.5),
+    "from_terms-float": lambda: LaurentSeries.from_terms({0: 1, 1: 0.25}),
+    "constructor-float": lambda: LaurentSeries(0, (1.0,)),
+    "series-times-float": lambda: P([1, 2]) * 0.5,
+    "float-times-series": lambda: 0.5 * P([1, 2]),
+    "series-times-decimal": lambda: P([1, 2]) * Decimal(1),
+    "polynomial_u-float": lambda: polynomial_u([1, 0.5]),
+    "polynomial_u-decimal": lambda: polynomial_u([Decimal("0.5")]),
+}
+
+
+@pytest.mark.parametrize("build", INEXACT_BUILDS.values(), ids=INEXACT_BUILDS.keys())
+def test_inexact_values_are_rejected(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_oracle_rejects_a_corrupted_expansion():
+    exp = expand(4)
+    rng = random.Random(11)
+    u = random_polynomial(rng, 4)
+    f = P([rng.randint(1, 9) for _ in range(7)])  # degree 6 > 4: no f^(s) vanishes
+    brute = apply_A_repeated(u, f, 4)
+    assert apply_expansion(exp, u, f).agrees_with(brute)
+    for s, p in exp.coeffs.items():
+        for i in range(len(p.terms)):
+            bumped = normalize(
+                (c + (j == i), exps) for j, (c, exps) in enumerate(p.terms)
+            )
+            corrupted = replace(exp, coeffs={**exp.coeffs, s: bumped})
+            assert not apply_expansion(corrupted, u, f).agrees_with(brute), (s, i)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_oracle_with_truncated_exponential(k):
+    report = oracle_check(k, u=EXP_Z, seed=k)
+    assert report.ok and report.checks == 1
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_oracle_with_rational_polynomial(k):
+    report = oracle_check(k, u=polynomial_u([Q(1, 2), 0, Q(-3, 4)]), seed=k)
+    assert report.ok and report.checks == 1
