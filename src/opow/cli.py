@@ -3,7 +3,10 @@
 Subcommands of the ``opow`` executable:
 
 * ``expand``    render the normal-ordered form of A^k (generic u or a
-                concrete substitution) as text, LaTeX or JSON
+                concrete substitution) as text, LaTeX or JSON; a
+                substitution is computed by the recurrence run directly
+                over z (``special_u.expand_specialized``), not through
+                the generic expansion
 * ``ctable``    dump the coefficient table as CSV or JSON
 * ``atable``    dump the signed 1/z table as CSV or JSON
 * ``stirling``  dump a Stirling triangle (kind 1 or 2) as CSV or JSON
@@ -155,7 +158,7 @@ def _special_term(t: SpecialTerm, style: _Style) -> str:
 
 
 def _render_special(k: int, u_label: str, rule: URule, fmt: str) -> None:
-    terms = special_u.specialize(expand(k), rule)
+    terms = special_u.expand_specialized(k, rule)
     if fmt == "json":
         emult = terms[0].exp_mult if terms else 0
         payload = {

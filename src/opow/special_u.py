@@ -9,6 +9,14 @@ rational coefficient.  Supported substitutions:
 * u = 1/z      (the j-th derivative is (-1)^j j! z^-(j+1))
 * u = p(z)     for a polynomial p with exact rational coefficients
 
+:func:`expand_specialized` computes these terms directly, by running
+the normal-ordering recurrence P_s <- u (P_(s-1) + P_s') over sparse
+int z-functions; it never builds the generic expansion and is what the
+CLI uses.  :func:`specialize` substitutes u into every monomial of the
+generic expansion instead.  The two routes share no arithmetic, so
+``specialize(expand(k), rule)`` is the reference that verifies the
+direct route.
+
 For u = 1/z the whole power collapses to one signed integer per
 derivative order: A^k = sum_s a(k, s) z^(s - 2k) (d/dz)^s.  Those
 integers have their own two-term recurrence and a closed form in
@@ -38,7 +46,9 @@ _KINDS = ("z", "exp", "inv-z", "poly")
 @dataclass(frozen=True)
 class URule:
     """A substitution rule for u; use the module constants or
-    :func:`polynomial_u` instead of constructing directly."""
+    :func:`polynomial_u` instead of constructing directly.  The
+    coefficients of a poly rule must be exact rationals (anything else
+    is a TypeError) and are stored as Fraction."""
 
     kind: str
     coeffs: tuple[Fraction, ...] = ()
@@ -47,6 +57,12 @@ class URule:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown substitution kind {self.kind!r}")
         if self.kind == "poly":
+            for c in self.coeffs:
+                if not isinstance(c, Rational):
+                    raise TypeError(
+                        f"polynomial coefficients must be exact rationals, not {type(c).__name__}"
+                    )
+            object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
             if not self.coeffs or self.coeffs[-1] == 0:
                 raise ValueError("polynomial substitution needs a nonzero leading coefficient")
         elif self.coeffs:
@@ -61,11 +77,7 @@ INVERSE_Z = URule("inv-z")
 def polynomial_u(coeffs: Iterable[int | Fraction]) -> URule:
     """Substitution u = c0 + c1 z + c2 z^2 + ... with exact coefficients;
     an inexact coefficient such as a float is a TypeError."""
-    coeffs = tuple(coeffs)
-    for c in coeffs:
-        if not isinstance(c, Rational):
-            raise TypeError(f"polynomial coefficients must be exact rationals, not {type(c).__name__}")
-    return URule("poly", tuple(Fraction(c) for c in coeffs))
+    return URule("poly", tuple(coeffs))
 
 
 class SpecialTerm(NamedTuple):
@@ -155,6 +167,84 @@ def specialize(exp: OperatorExpansion, rule: URule) -> tuple[SpecialTerm, ...]:
         SpecialTerm(acc[key], key[1], key[2], key[0])
         for key in sorted(acc)
         if acc[key] != 0
+    )
+
+
+# The direct route: the normal-ordering recurrence run over z-functions.
+# A z-function is a sparse dict {(z_exp, exp_mult): coeff} standing for the
+# sum of coeff * z^z_exp * e^(exp_mult z); every coefficient is an int.
+
+_ZFunction = dict[tuple[int, int], int]
+
+_NAMED_Z_FUNCTIONS: dict[str, _ZFunction] = {
+    "z": {(1, 0): 1},
+    "exp": {(0, 1): 1},
+    "inv-z": {(-1, 0): 1},
+}
+
+
+def _zf_derivative(p: _ZFunction) -> _ZFunction:
+    """d/dz (c z^a e^(mz)) = c a z^(a-1) e^(mz) + c m z^a e^(mz)."""
+    out: _ZFunction = {}
+    for (a, m), c in p.items():
+        if a:
+            out[a - 1, m] = out.get((a - 1, m), 0) + c * a
+        if m:
+            out[a, m] = out.get((a, m), 0) + c * m
+    return out
+
+
+def _zf_add(p: _ZFunction, q: _ZFunction) -> _ZFunction:
+    out = dict(p)
+    for key, c in q.items():
+        out[key] = out.get(key, 0) + c
+    return out
+
+
+def _zf_mul(p: _ZFunction, q: _ZFunction) -> _ZFunction:
+    out: _ZFunction = {}
+    for (pa, pm), pc in p.items():
+        for (qa, qm), qc in q.items():
+            key = (pa + qa, pm + qm)
+            out[key] = out.get(key, 0) + pc * qc
+    return {key: c for key, c in out.items() if c}
+
+
+def _scaled_u(rule: URule) -> tuple[_ZFunction, int]:
+    """u times the lcm D of its coefficient denominators, and D."""
+    if rule.kind != "poly":
+        return _NAMED_Z_FUNCTIONS[rule.kind], 1
+    scale = math.lcm(*(c.denominator for c in rule.coeffs))
+    scaled = {(i, 0): c.numerator * (scale // c.denominator) for i, c in enumerate(rule.coeffs) if c}
+    return scaled, scale
+
+
+def expand_specialized(k: int, rule: URule) -> tuple[SpecialTerm, ...]:
+    """The specialized form of A^k, computed without the generic expansion.
+
+    Returns exactly what ``specialize(expand(k), rule)`` returns, which
+    stays as the independent route that verifies this one.  If
+    A^k = sum_s P_s (d/dz)^s, then one more A gives P_s <- u (P_(s-1) + P_s'),
+    run here on z-functions from A^0 = (d/dz)^0.  The arithmetic is in
+    int: with D the lcm of the coefficient denominators of u, the
+    recurrence runs on D u, and (D u d/dz)^k = D^k A^k, so each
+    coefficient is divided by D^k once at the end.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    u, scale = _scaled_u(rule)
+    rows: list[_ZFunction] = [{(0, 0): 1}]
+    for _ in range(k):
+        padded = [{}, *rows, {}]  # P_(-1) and P_(len(rows)) are zero
+        rows = [
+            _zf_mul(u, _zf_add(padded[s], _zf_derivative(padded[s + 1])))
+            for s in range(len(rows) + 1)
+        ]
+    denominator = scale**k
+    return tuple(
+        SpecialTerm(Fraction(c, denominator), z_exp, exp_mult, s)
+        for s, row in enumerate(rows)
+        for (z_exp, exp_mult), c in sorted(row.items())
     )
 
 

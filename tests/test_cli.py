@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from opow import special_u
 from opow.cli import main
+from opow.expansion import expand
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -50,6 +52,25 @@ def test_expand_text_polynomial(capsys):
     code, out = run_cli(capsys, "expand", "--k", "1", "--u", "poly:1,1", "--format", "text")
     assert code == 0
     assert out == "A^1 = 1 D^1 + 1 z^1 D^1\n"
+
+
+@pytest.mark.parametrize("fmt", ("text", "latex", "json"))
+@pytest.mark.parametrize("u", ("z", "exp", "inv-z", "poly:1/2,0,-3/4"))
+def test_expand_special_matches_specialize_route(capsys, monkeypatch, u, fmt):
+    argv = ("expand", "--k", "8", "--u", u, "--format", fmt)
+    code, direct = run_cli(capsys, *argv)
+    assert code == 0
+    calls = []
+
+    def via_specialize(k, rule):
+        calls.append(k)
+        return special_u.specialize(expand(k), rule)
+
+    monkeypatch.setattr(special_u, "expand_specialized", via_specialize)
+    code, reference = run_cli(capsys, *argv)
+    assert code == 0
+    assert calls == [8]
+    assert direct == reference
 
 
 def test_expand_latex(capsys):

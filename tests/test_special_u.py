@@ -1,8 +1,11 @@
 from fractions import Fraction
+from math import perm
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from opow.expansion import expand
+from opow.expansion import expand, expansions
+from opow.series import LaurentSeries, apply_A_repeated
 from opow.special_u import (
     EXP_Z,
     IDENTITY_Z,
@@ -11,6 +14,7 @@ from opow.special_u import (
     URule,
     a_closed_form,
     a_table_by_recurrence,
+    expand_specialized,
     polynomial_u,
     specialize,
     verify_inverse_z_table,
@@ -33,6 +37,16 @@ def test_urule_validation():
         polynomial_u([])
     with pytest.raises(ValueError):
         URule("z", (Q(1),))
+    # inexact coefficients are rejected by the rule itself, not only by polynomial_u
+    with pytest.raises(TypeError):
+        URule("poly", (0.5, 1.0))
+    with pytest.raises(TypeError):
+        URule("poly", ("1", 2))
+    with pytest.raises(TypeError):
+        polynomial_u([1, 0.5])
+    rule = URule("poly", (1, Q(1, 2)))
+    assert all(type(c) is Fraction for c in rule.coeffs)
+    assert rule == polynomial_u([1, Q(1, 2)])
 
 
 def test_specialize_identity_z():
@@ -130,3 +144,68 @@ def test_verify_inverse_z_table():
 def test_verify_specializations():
     report = verify_specializations(8)
     assert report.ok, report.render_lines()
+
+
+# the direct route against specialize(expand(k)) -------------------------
+
+FIXED_POLYS = (
+    polynomial_u([Q(1, 2), 0, Q(-3, 4)]),
+    polynomial_u([Q(-3, 2), 2, -1, 3]),
+    polynomial_u([0, Q(5, 3), 0, 0, Q(-1, 7)]),
+    polynomial_u([7]),
+)
+
+
+@pytest.mark.parametrize(
+    "rule",
+    (IDENTITY_Z, EXP_Z, INVERSE_Z) + FIXED_POLYS,
+    ids=lambda rule: f"{rule.kind}:{','.join(map(str, rule.coeffs))}".rstrip(":"),
+)
+def test_expand_specialized_matches_specialize(rule):
+    for exp in expansions(10):
+        got = expand_specialized(exp.k, rule)
+        assert got == specialize(exp, rule), f"k={exp.k}"
+        assert all(type(t.coeff) is Fraction for t in got)
+
+
+small_q = st.builds(Q, st.integers(-6, 6), st.integers(1, 5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(small_q, max_size=3),
+    small_q.filter(bool),
+    st.integers(1, 8),
+)
+@example([], Q(-2, 3), 8)  # constant u
+@example([Q(0), Q(0)], Q(5, 2), 6)  # u = c z^2: zero c0 and an interior zero
+@example([Q(0), Q(-1, 3), Q(0)], Q(4), 7)  # negative and non-integer coefficients
+@example([Q(-2), Q(-2)], Q(1), 2)  # u u' has a z^1 coefficient that cancels to zero
+@example([Q(-2), Q(-2), Q(0)], Q(-2), 2)  # terms do not arise in sorted order
+def test_expand_specialized_matches_specialize_random(lower, leading, k):
+    rule = polynomial_u([*lower, leading])
+    assert expand_specialized(k, rule) == specialize(expand(k), rule)
+
+
+def test_expand_specialized_rejects_k_below_one():
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            expand_specialized(k, IDENTITY_Z)
+
+
+def test_expand_specialized_against_oracle_at_k16():
+    # specialize(expand(16)) takes seconds for this u; the literal oracle does not
+    coeffs = [Q(-3, 2), 2, -1, 3]
+    k = 16
+    got_terms = expand_specialized(k, polynomial_u(coeffs))
+    u = LaurentSeries.polynomial(coeffs)
+    for n in range(1, k + 1):
+        applied: dict[int, Fraction] = {}
+        for t in got_terms:
+            assert t.exp_mult == 0
+            if t.d_order <= n:
+                e = t.z_exp + n - t.d_order
+                applied[e] = applied.get(e, 0) + t.coeff * perm(n, t.d_order)
+        applied = {e: c for e, c in applied.items() if c}
+        oracle = apply_A_repeated(u, LaurentSeries.z_power(n), k)
+        assert applied == dict(oracle.items()), f"A^{k} z^{n}"
