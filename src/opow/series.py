@@ -6,6 +6,15 @@ evaluating the normal-ordered coefficient polynomials on the same
 series.  The two routes share no code, so exact agreement is a real
 check of the expansion engine.
 
+The routes share no series arithmetic either.  The literal route
+multiplies series.  The expansion side scales u's jets and f's
+derivatives to integer coefficients, packs each as its value at
+z = 2^w, forms the whole sum with integer products and shifts, and
+splits the result once into balanced base-2^w digits.  The width w
+comes from an l1 bound on every coefficient of the result
+(|pq|_1 <= |p|_1 |q|_1), so the digits are exactly its coefficients.
+The two results are then compared coefficient by coefficient.
+
 A series stores a dense block of exact coefficients starting at
 ``min_exp`` together with a precision bound ``prec``: coefficients of
 exponent >= prec are unknown.  An integral coefficient is a plain
@@ -27,10 +36,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import add, mul, neg
-from typing import Iterable, Mapping
+from operator import add, mul, neg, pos
+from typing import Callable, Iterable, Mapping
 
-from .diffpoly import DiffPolynomial, signed_join
+from .diffpoly import signed_join
 from .expansion import OperatorExpansion, expand, expansions
 from .report import VerificationReport
 from .special_u import URule
@@ -236,25 +245,111 @@ def apply_A_repeated(u: LaurentSeries, f: LaurentSeries, k: int) -> LaurentSerie
     return _check_not_exhausted(g, f"A^{k} by repeated application")
 
 
-def _evaluate_polynomial(
-    p: DiffPolynomial,
-    u_jets: list[LaurentSeries],
-    pow_cache: dict[tuple[int, int], LaurentSeries],
-) -> LaurentSeries:
-    def jet_power(j: int, e: int) -> LaurentSeries:
-        key = (j, e)
-        if key not in pow_cache:
-            pow_cache[key] = jet_power(j, e - 1) * u_jets[j] if e > 1 else u_jets[j]
-        return pow_cache[key]
+def _denominator(s: LaurentSeries) -> int:
+    """The lcm of the coefficient denominators: scaling by it clears them all."""
+    return math.lcm(*(c.denominator for c in s.coeffs))
 
-    total = LaurentSeries.zero()
-    for coeff, exps in p.terms:
-        term = LaurentSeries.z_power(0, coeff)
+
+def _l1_norm(s: LaurentSeries, scale: int) -> int:
+    """Sum of the absolute values of the coefficients of scale * s."""
+    return sum(abs(c.numerator) * (scale // c.denominator) for c in s.coeffs)
+
+
+def _packed(s: LaurentSeries, scale: int, w: int, shift: int) -> int:
+    """The integer-coefficient Laurent polynomial scale * s * z^-shift at
+    z = 2^w; scale must clear every denominator and shift <= s.min_exp
+    unless s has no coefficients."""
+    if not s.coeffs:
+        return 0
+    v = 0
+    for c in reversed(s.coeffs):
+        v = (v << w) + c.numerator * (scale // c.denominator)
+    return v << (w * (s.min_exp - shift))
+
+
+def _unpacked(v: int, w: int) -> list[int]:
+    """The balanced base-2^w digits of v, least significant first: the
+    inverse of packing when every coefficient lies in (-2^(w-1), 2^(w-1))."""
+    digits = []
+    mask, half, base = (1 << w) - 1, 1 << (w - 1), 1 << w
+    while v:
+        d = v & mask
+        if d >= half:
+            d -= base
+        digits.append(d)
+        v = (v - d) >> w
+    return digits
+
+
+def _evaluate(
+    terms: Iterable[tuple[int, tuple[int, ...]]],
+    values: list[int],
+    scale: Mapping[int, int],
+    coeff: Callable[[int], int] = pos,
+) -> int:
+    """Sum of coeff(c) * scale[degree] * prod values[j]^e over the
+    monomials (c, exps) of one coefficient polynomial."""
+    total = 0
+    for c, exps in terms:
+        term = coeff(c) * scale[sum(exps)]
         for j, e in enumerate(exps):
             if e:
-                term = term * jet_power(j, e)
-        total = total + term
+                term *= values[j] ** e
+        total += term
     return total
+
+
+def _product_window(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
+    """The lowest term (with coefficient 1) and the precision of a * b,
+    by the rules of ``LaurentSeries.__mul__``, without multiplying: the
+    lowest term of a product of nonzero series is the product of their
+    lowest terms, kept when it lies below the product's precision."""
+    if (a.is_zero() and a.prec is None) or (b.is_zero() and b.prec is None):
+        return LaurentSeries.zero()
+    prec = None
+    if a.prec is not None:
+        prec = a.prec + b._min_for_prec()
+    if b.prec is not None:
+        prec = _min_prec(prec, b.prec + a._min_for_prec())
+    if a.is_zero() or b.is_zero():
+        return LaurentSeries.zero(prec)
+    return LaurentSeries(a.min_exp + b.min_exp, (1,), prec)
+
+
+def _expansion_prec(
+    exp: OperatorExpansion,
+    u_jets: list[LaurentSeries],
+    f_ders: list[LaurentSeries],
+    lowest: Mapping[int, int | None],
+) -> int | None:
+    """The precision that sum_s P_s(u) * f^(s) gets when every product
+    and sum is formed one at a time as a series, each power of a jet
+    built up one factor at a time.  lowest[s] is the lowest exponent of
+    P_s(u), or None when it is zero; a missing s has an exactly zero
+    f^(s).  Exact inputs give an exact result."""
+    if u_jets[0].prec is None and f_ders[0].prec is None:
+        return None
+    powers: dict[tuple[int, int], LaurentSeries] = {}
+
+    def jet_power(j: int, e: int) -> LaurentSeries:
+        if (j, e) not in powers:
+            powers[j, e] = (
+                _product_window(jet_power(j, e - 1), u_jets[j]) if e > 1 else u_jets[j]
+            )
+        return powers[j, e]
+
+    prec = None
+    for s, low in lowest.items():
+        p_prec = None
+        for c, exps in exp.coeffs[s].terms:
+            term = LaurentSeries.z_power(0, c)
+            for j, e in enumerate(exps):
+                if e:
+                    term = _product_window(term, jet_power(j, e))
+            p_prec = _min_prec(p_prec, term.prec)
+        p = LaurentSeries.zero(p_prec) if low is None else LaurentSeries(low, (1,), p_prec)
+        prec = _min_prec(prec, _product_window(p, f_ders[s]).prec)
+    return prec
 
 
 def apply_expansion(
@@ -262,7 +357,15 @@ def apply_expansion(
 ) -> LaurentSeries:
     """Evaluate the normal-ordered form of A^k on f: substitute series
     for u and its derivatives in each coefficient polynomial, multiply
-    by the matching derivative of f, and sum."""
+    by the matching derivative of f, and sum.
+
+    The sum is one exact integer evaluation at z = 2^w (see the module
+    docstring).  u and f are scaled by the lcm of their denominators;
+    a monomial of degree d carries the d-th power of u's, and every
+    term is brought to the highest degree present, so no degree is
+    assumed.  The precision is the one series arithmetic would give,
+    see :func:`_expansion_prec`.
+    """
     k = exp.k
     max_jet = max(
         (len(mono.exps) - 1 for p in exp.coeffs.values() for mono in p.terms),
@@ -274,11 +377,48 @@ def apply_expansion(
     f_ders = [f]
     for _ in range(k):
         f_ders.append(f_ders[-1].derivative())
-    pow_cache: dict[tuple[int, int], LaurentSeries] = {}
-    total = LaurentSeries.zero()
-    for s in range(1, k + 1):
-        total = total + _evaluate_polynomial(exp.coeffs[s], u_jets, pow_cache) * f_ders[s]
-    return _check_not_exhausted(total, f"A^{k} by expansion")
+    # an exactly zero f^(s) annihilates P_s, whatever P_s is
+    used = {
+        s: exp.coeffs[s].terms
+        for s in range(1, k + 1)
+        if f_ders[s].coeffs or f_ders[s].prec is not None
+    }
+    degrees = {sum(exps) for terms in used.values() for _, exps in terms}
+    top = max(degrees, default=0)
+    du, df = _denominator(u), _denominator(f)
+
+    # l1 bound: |coefficient of pq| <= |p|_1 |q|_1.  An f^(s) with no
+    # known term still counts once, so that P_s(u) alone is decodable.
+    norms = [_l1_norm(jet, du) for jet in u_jets]
+    norm_scale = {d: du ** (top - d) for d in degrees}
+    bound = sum(
+        _evaluate(terms, norms, norm_scale, abs) * max(_l1_norm(f_ders[s], df), 1)
+        for s, terms in used.items()
+    )
+    w = bound.bit_length() + 1
+
+    # every jet packed from one base exponent, so a monomial of degree d
+    # sits at z^(d * base); scale[d] also lifts it from the lowest of those
+    base = min((jet.min_exp for jet in u_jets if jet.coeffs), default=0)
+    shift = min((d * base for d in degrees), default=0)
+    scale = {d: du ** (top - d) << (w * (d * base - shift)) for d in degrees}
+    jets = [_packed(jet, du, w, base) for jet in u_jets]
+    f_shift = min((f_ders[s].min_exp for s in used if f_ders[s].coeffs), default=0)
+    total = 0
+    lowest = {}
+    for s, terms in used.items():
+        p = _evaluate(terms, jets, scale)
+        # a digit below 2^w leaves the lowest set bit inside its own digit
+        lowest[s] = shift + ((p & -p).bit_length() - 1) // w if p else None
+        total += p * _packed(f_ders[s], df, w, f_shift)
+
+    denominator = du**top * df
+    coeffs = _unpacked(total, w)
+    if denominator != 1:
+        coeffs = [Fraction(c, denominator) for c in coeffs]
+    prec = _expansion_prec(exp, u_jets, f_ders, lowest)
+    result = LaurentSeries(shift + f_shift, tuple(coeffs), prec)
+    return _check_not_exhausted(result, f"A^{k} by expansion")
 
 
 def series_for_rule(rule: URule, prec: int | None = None) -> LaurentSeries:

@@ -9,9 +9,16 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
-from opow.combinat import compositions, cycle_type_count, permutations_by_cycle_count
+from opow.combinat import (
+    compositions,
+    cycle_type_count,
+    permutations_by_cycle_count,
+    stirling1_unsigned,
+    stirling2,
+)
 from opow.ctable import (
     c_table_by_recurrence,
     verify_binomial_column,
@@ -23,7 +30,16 @@ from opow.ctable import (
 )
 from opow.expansion import verify_closed_forms
 from opow.series import eigenfunction_report, oracle_suite
-from opow.special_u import verify_inverse_z_table, verify_specializations
+from opow.special_u import (
+    EXP_Z,
+    IDENTITY_Z,
+    INVERSE_Z,
+    SpecialTerm,
+    a_table_by_recurrence,
+    expand_specialized,
+    verify_inverse_z_table,
+    verify_specializations,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -93,6 +109,23 @@ def test_specializations():
     _conclude("u = z, e^z, 1/z specializations with row sums, k <= 10", report.ok)
 
 
+def test_specializations_at_the_default_cap():
+    # the direct z-function route against the independent tables, at the
+    # default OPOW_MAX_K, far past what specialize(expand(k)) can reach
+    k = 40
+    inverse = a_table_by_recurrence(k)
+    rows = {
+        IDENTITY_Z: lambda s: SpecialTerm(Fraction(stirling2(k, s)), s, 0, s),
+        EXP_Z: lambda s: SpecialTerm(Fraction(stirling1_unsigned(k, s)), 0, k, s),
+        INVERSE_Z: lambda s: SpecialTerm(Fraction(inverse.value(k, s)), s - 2 * k, 0, s),
+    }
+    ok = all(
+        expand_specialized(k, rule) == tuple(map(row, range(1, k + 1)))
+        for rule, row in rows.items()
+    )
+    _conclude(f"u = z, e^z, 1/z at k = {k} against Stirling and double-factorial tables", ok)
+
+
 def test_series_oracle():
     start = time.monotonic()
     random_part = oracle_suite(6, seed=42, trials=50)
@@ -106,6 +139,14 @@ def test_series_oracle():
         and elapsed < 60.0
     )
     _conclude("series oracle: 300 random pairs (k <= 6) + eigenfunction law", ok, f" ({elapsed:.2f}s)")
+
+
+def test_series_oracle_to_k10():
+    start = time.monotonic()
+    report = oracle_suite(10, seed=2023, trials=50)
+    elapsed = time.monotonic() - start
+    ok = report.ok and report.checks == 500 and elapsed < 60.0
+    _conclude("series oracle: 500 random pairs (k <= 10)", ok, f" ({elapsed:.2f}s)")
 
 
 def test_cli_determinism():

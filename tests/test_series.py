@@ -4,13 +4,15 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from opow.diffpoly import normalize
-from opow.expansion import expand
+from opow.expansion import expand, expansions
+from opow.report import VerificationReport
 from opow.series import (
     LaurentSeries,
     PrecisionExhausted,
+    _compare_routes,
     apply_A_repeated,
     apply_expansion,
     eigenfunction_report,
@@ -372,3 +374,142 @@ def test_oracle_with_truncated_exponential(k):
 def test_oracle_with_rational_polynomial(k):
     report = oracle_check(k, u=polynomial_u([Q(1, 2), 0, Q(-3, 4)]), seed=k)
     assert report.ok and report.checks == 1
+
+
+# apply_expansion against the series-arithmetic evaluation it replaced --------
+
+EXPANSIONS = {exp.k: exp for exp in expansions(7)}
+
+
+def reference_apply_expansion(exp, u, f):
+    """Term by term with LaurentSeries products and sums, jet powers built
+    one factor at a time: the evaluation apply_expansion replaced."""
+    max_jet = max((len(m.exps) - 1 for p in exp.coeffs.values() for m in p.terms), default=0)
+    u_jets = [u]
+    for _ in range(max_jet):
+        u_jets.append(u_jets[-1].derivative())
+    powers = {}
+
+    def jet_power(j, e):
+        if (j, e) not in powers:
+            powers[j, e] = jet_power(j, e - 1) * u_jets[j] if e > 1 else u_jets[j]
+        return powers[j, e]
+
+    total = LaurentSeries.zero()
+    f_der = f
+    for s in range(1, exp.k + 1):
+        f_der = f_der.derivative()
+        poly = LaurentSeries.zero()
+        for coeff, exps in exp.coeffs[s].terms:
+            term = Z(0, coeff)
+            for j, e in enumerate(exps):
+                if e:
+                    term = term * jet_power(j, e)
+            poly = poly + term
+        total = total + poly * f_der
+    if total.prec is not None and total.is_zero():
+        raise PrecisionExhausted
+    return total
+
+
+def expansion_outcome(evaluate, exp, u, f):
+    try:
+        return evaluate(exp, u, f)
+    except PrecisionExhausted:
+        return PrecisionExhausted
+
+
+def assert_matches_reference(exp, u, f):
+    got = expansion_outcome(apply_expansion, exp, u, f)
+    want = expansion_outcome(reference_apply_expansion, exp, u, f)
+    assert got == want
+    if isinstance(got, LaurentSeries):
+        as_ref(got)
+    return got
+
+
+oracle_values = st.one_of(exact_values, st.integers(-(10**40), 10**40))
+
+
+@st.composite
+def oracle_series(draw):
+    min_exp = draw(st.integers(-3, 3))
+    coeffs = tuple(draw(st.lists(oracle_values, max_size=6)))
+    prec = draw(st.one_of(st.none(), st.integers(min_exp - 1, min_exp + 9)))
+    return LaurentSeries(min_exp, coeffs, prec)
+
+
+TRUNCATED_EXP = series_for_rule(EXP_Z, prec=9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7), oracle_series(), oracle_series())
+@example(5, TRUNCATED_EXP, P([1, 2, 3, 4, 5, 6, 7, 8]))
+@example(4, TRUNCATED_EXP, LaurentSeries.from_terms({-1: 2, 3: Q(1, 3)}, prec=6))
+@example(3, LaurentSeries.zero(), P([1, 2, 3]))
+@example(3, P([1, 2]), LaurentSeries.zero())
+@example(3, LaurentSeries.zero(4), P([1, 2, 3, 4]))
+@example(6, Z(-1), P([1, Q(-2, 3), 5], min_exp=-2))
+@example(7, P([Q(1, 2), 0, Q(-3, 4)], min_exp=-1), P([Q(5, 6), 1, 0, 0, 2], min_exp=3))
+@example(7, P([10**40, -(10**40) + 1, 3]), P([3 * 10**39, 0, -7, 10**40]))
+def test_apply_expansion_matches_series_reference(k, u, f):
+    assert_matches_reference(EXPANSIONS[k], u, f)
+
+
+def test_apply_expansion_reports_exhausted_precision():
+    f = LaurentSeries.from_terms({0: 1, 1: 1}, prec=2)  # 1 + z + O(z^2)
+    for evaluate in (apply_expansion, reference_apply_expansion):
+        with pytest.raises(PrecisionExhausted):
+            evaluate(EXPANSIONS[3], TRUNCATED_EXP, f)
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_apply_expansion_at_its_l1_bound(k):
+    # every coefficient is positive and the result is one term, so that
+    # term, (2n)^k, is exactly the l1 bound the packing width is taken from
+    n = k + 2
+    u, f = Z(1, 2), Z(n)
+    got = assert_matches_reference(EXPANSIONS[k], u, f)
+    assert got == Z(n, (2 * n) ** k) == apply_A_repeated(u, f, k)
+
+
+def with_extra_terms(exp, s, extra):
+    poly = normalize([*exp.coeffs[s].terms, *extra])
+    return replace(exp, coeffs={**exp.coeffs, s: poly})
+
+
+def corrupted_expansions(k):
+    exp = EXPANSIONS[k]
+    c, exps = exp.coeffs[1].terms[-1]
+    return {
+        "negative-coefficient": with_extra_terms(exp, 1, [(-2 * c, exps)]),
+        "degree-too-low": with_extra_terms(exp, 2, [(3, (k - 2, 1))]),
+        "degree-too-high": with_extra_terms(exp, 2, [(-5, (k, 0, 1))]),
+        "jet-beyond-u": with_extra_terms(exp, 1, [(7, (k - 1, 0, 0, 0, 0, 1))]),
+    }
+
+
+CORRUPTION_INPUTS = {
+    "integer": (P([3, -1, 4, 1, -5]), P([2, 7, 1, 8, 2, 8, 1], min_exp=-1)),
+    "rational": (P([Q(1, 2), Q(-2, 3), 0, Q(5, 4)]), P([Q(1, 3), 2, 0, 0, 0, 0, 5], min_exp=-2)),
+}
+
+
+@pytest.mark.parametrize("inputs", CORRUPTION_INPUTS.values(), ids=CORRUPTION_INPUTS.keys())
+@pytest.mark.parametrize("kind", corrupted_expansions(4).keys())
+def test_apply_expansion_on_corrupted_expansions(kind, inputs):
+    u, f = inputs
+    exp = corrupted_expansions(4)[kind]
+    assert_matches_reference(exp, u, f)
+    report = VerificationReport(suite="oracle", k_max=4)
+    _compare_routes(report, kind, exp, u, f)
+    # a zero jet hides the extra monomial; every other corruption must show
+    assert report.ok == (kind == "jet-beyond-u")
+
+
+def test_apply_expansion_on_cancelling_corruption():
+    # for u = 1 + z^3 the two extra monomials have equal and opposite
+    # coefficient-weighted norms (400 * 3^2 = 300 * 2 * 6), so only a bound
+    # that takes |c| covers their sum, 1800 (z^4 - z)
+    exp = with_extra_terms(EXPANSIONS[2], 1, [(400, (0, 2)), (-300, (1, 0, 1))])
+    assert_matches_reference(exp, P([1, 0, 0, 1]), Z(3))
