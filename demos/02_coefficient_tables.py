@@ -1,6 +1,6 @@
-# The coefficient table has a life of its own: three recurrences build
-# it without ever touching the expansion engine, and its slices land on
-# classical combinatorial numbers.
+# The coefficient table has a life of its own: one running-sum recurrence
+# builds it without ever touching the expansion engine, and its slices
+# land on classical combinatorial numbers.
 #
 # Run after installing the package:  python demos/02_coefficient_tables.py
 

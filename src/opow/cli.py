@@ -46,11 +46,11 @@ from .special_u import EXP_Z, IDENTITY_Z, INVERSE_Z, SpecialTerm, URule, polynom
 DEFAULT_MAX_K = 40
 
 # A suite runner takes k_max, the oracle seed and a zero-argument function
-# returning the shared recurrence table.  Each runner looks its verifier up
+# returning the shared extraction table.  Each runner looks its verifier up
 # when called, so a wrapper installed on a module attribute sees the call.
 _SUITES: dict[str, Callable[[int, int, Callable[[], ctable_mod.CTable]], VerificationReport]] = {
     "closed-form": lambda k_max, seed, table: verify_closed_forms(k_max),
-    "cross-check": lambda k_max, seed, table: ctable_mod.verify_cross_check(k_max),
+    "cross-check": lambda k_max, seed, table: ctable_mod.verify_cross_check(table()),
     "binomial": lambda k_max, seed, table: ctable_mod.verify_binomial_column(table()),
     "stirling2": lambda k_max, seed, table: ctable_mod.verify_stirling2_corner(table()),
     "stirling1-sum": lambda k_max, seed, table: ctable_mod.verify_stirling1_total(table()),
@@ -263,8 +263,8 @@ def cmd_stirling(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
 
 
 def _run_suites(names: list[str], k_max: int, seed: int) -> list[VerificationReport]:
-    """Run the named suites in order; the recurrence table is built at most once."""
-    table = functools.cache(lambda: ctable_mod.c_table_by_recurrence(k_max))
+    """Run the named suites in order; the extraction table is built at most once."""
+    table = functools.cache(lambda: ctable_mod.c_table_from_expansions(k_max))
     return [_SUITES[name](k_max, seed, table) for name in names]
 
 

@@ -1,4 +1,4 @@
-"""The coefficient table generated by its own recurrences, plus verifiers.
+"""The coefficient table generated by its own recurrence, plus verifiers.
 
 The table holds the positive integers C keyed by (k, s, m, alpha) with
 1 <= m <= s <= k-1, sum(alpha) = m and sum(i * alpha_i) = s.  Two
@@ -6,24 +6,33 @@ independent construction routes exist:
 
 * :func:`c_table_from_expansions` reads the entries off the
   normal-ordered expansion of A^k (the defining route), and
-* :func:`c_table_by_recurrence` builds them from three recurrences that
-  never touch the expansion engine, seeded at s = 1 by the triangular
+* :func:`c_table_by_recurrence` builds them from one recurrence that
+  never touches the expansion engine, seeded at s = 1 by the triangular
   numbers t(t-1)/2.
 
-The recurrences raise the upper index s by one.  An entry at
-(k, s, m, alpha) is a sum over intermediate powers t = s..k-1 of
+The recurrence raises the upper index s by one.  An entry at
+(k, s, m, alpha) is a sum over intermediate powers t = s..k-1, carried
+as a running sum so that each power adds only its own term t = k-1:
 
-* interior m:  (t+1-m) * C(t, s-1, m-1, alpha - e1)
-               + sum_j (alpha_j + 1) * C(t, s-1, m, alpha + e_j - e_{j+1})
-* m = s:       (t-s+1) * C(t, s-1, s-1, (s-1,))
-* m = 1:       C(t, s-1, 1, unit(s-1))
+    C(k, s, m, alpha) = C(k-1, s, m, alpha)
+                        + (k-m) * C(k-1, s-1, m-1, alpha - e1)
+                        + sum_j (alpha_j + 1) * C(k-1, s-1, m, alpha + e_j - e_{j+1})
 
-where any index combination that leaves the valid key set contributes
-zero.  The verifiers at the bottom check the table against independent
+where any key outside the valid set contributes zero (so the carry is
+zero at k = s+1).  The column m = 1 and the corner m = s need no rules
+of their own.  For alpha = unit(s) the first source has no part of size
+one and the only move is from slot s down to s-1, leaving
+C(k, s, 1, unit(s)) = C(k-1, s, 1, unit(s)) + C(k-1, s-1, 1, unit(s-1)).
+For alpha = (s,) no slot above the first is filled, leaving
+C(k, s, s, (s,)) = C(k-1, s, s, (s,)) + (k-s) * C(k-1, s-1, s-1, (s-1,)).
+
+The verifiers at the bottom check a table against independent
 combinatorial references: binomial coefficients on the m = 1 column,
 second-kind Stirling numbers on the m = s corner, first-kind Stirling
 numbers for whole-table sums, permutation cycle-type counts, and a
-double-factorial weighted sum.
+double-factorial weighted sum.  ``opow verify`` runs them on the
+extraction table, so each one tests the engine; the recurrence table
+meets the engine only in :func:`verify_cross_check`.
 """
 
 from __future__ import annotations
@@ -70,10 +79,10 @@ class CTable:
 
 
 def c_table_by_recurrence(k_max: int) -> CTable:
-    """Build the table for all k <= k_max from the three recurrences.
+    """Build the table for all k <= k_max from the one running-sum recurrence.
 
     Raises ArithmeticError if some required (k, s, m, alpha) is reached
-    by none of the recurrences (it would come out non-positive); every
+    by no term of the recurrence (it would come out non-positive); every
     key must receive a positive value.
     """
     if k_max < 2:
@@ -82,44 +91,33 @@ def c_table_by_recurrence(k_max: int) -> CTable:
     for t in range(2, k_max + 1):
         entries[(t, 1, 1, (1,))] = t * (t - 1) // 2
     for s in range(2, k_max):
+        # each shape with its sources at upper index s - 1: the alpha - e1
+        # source, then one (weight, source) pair per unit of weight moved
+        # from slot j+1 down to slot j
+        shapes = []
+        for m in range(1, s + 1):
+            for alpha in compositions(s, m):
+                drop = trim((alpha[0] - 1,) + alpha[1:]) if alpha[0] else None
+                moves = []
+                for j in range(1, s):
+                    if alpha[j]:
+                        shifted = list(alpha)
+                        shifted[j - 1] += 1
+                        shifted[j] -= 1
+                        moves.append((shifted[j - 1], trim(shifted)))
+                shapes.append((m, trim(alpha), drop, moves))
         for k in range(s + 1, k_max + 1):
-            for alpha in (a for m in range(1, s + 1) for a in compositions(s, m)):
-                m = sum(alpha)
-                key = (k, s, m, trim(alpha))
-                if m == 1:
-                    val = sum(
-                        entries.get((t, s - 1, 1, _unit(s - 1)), 0)
-                        for t in range(s, k)
-                    )
-                elif m == s:
-                    val = sum(
-                        (t - s + 1) * entries.get((t, s - 1, s - 1, (s - 1,)), 0)
-                        for t in range(s, k)
-                    )
-                else:
-                    val = _interior_value(entries, k, s, m, alpha)
+            for m, alpha, drop, moves in shapes:
+                key = (k, s, m, alpha)
+                val = entries.get((k - 1, s, m, alpha), 0)
+                if drop is not None:
+                    val += (k - m) * entries.get((k - 1, s - 1, m - 1, drop), 0)
+                for weight, src in moves:
+                    val += weight * entries.get((k - 1, s - 1, m, src), 0)
                 if val <= 0:
                     raise ArithmeticError(f"no recurrence reaches entry {key}")
                 entries[key] = val
     return CTable(k_max, entries)
-
-
-def _interior_value(
-    entries: dict[CKey, int], k: int, s: int, m: int, alpha: tuple[int, ...]
-) -> int:
-    total = 0
-    for t in range(s, k):
-        if alpha[0] >= 1:
-            src = trim((alpha[0] - 1,) + alpha[1:])
-            total += (t + 1 - m) * entries.get((t, s - 1, m - 1, src), 0)
-        # one unit of weight moves from slot j+1 down to slot j
-        for j in range(1, s):
-            if alpha[j] >= 1:
-                shifted = list(alpha)
-                shifted[j - 1] += 1
-                shifted[j] -= 1
-                total += shifted[j - 1] * entries.get((t, s - 1, m, trim(shifted)), 0)
-    return total
 
 
 def c_table_from_expansions(k_max: int) -> CTable:
@@ -133,11 +131,12 @@ def c_table_from_expansions(k_max: int) -> CTable:
     return CTable(k_max, entries)
 
 
-def verify_cross_check(k_max: int) -> VerificationReport:
-    """Entry-for-entry agreement of the two construction routes."""
-    report = VerificationReport(suite="cross-check", k_max=k_max)
-    rec = c_table_by_recurrence(k_max)
-    ext = c_table_from_expansions(k_max)
+def verify_cross_check(ext: CTable) -> VerificationReport:
+    """Entry-for-entry agreement of the two construction routes: the
+    extraction table ``ext`` against the recurrence table built here for
+    the same k_max."""
+    report = VerificationReport(suite="cross-check", k_max=ext.k_max)
+    rec = c_table_by_recurrence(ext.k_max)
     for key in sorted(set(rec.entries) | set(ext.entries)):
         k, s, m, alpha = key
         loc = f"k={k} s={s} m={m} alpha={alpha}"
@@ -145,10 +144,10 @@ def verify_cross_check(k_max: int) -> VerificationReport:
     return report
 
 
-def verify_binomial_column(table: CTable, k_max: int | None = None) -> VerificationReport:
+def verify_binomial_column(table: CTable) -> VerificationReport:
     """The m = 1 column: the entry at (k+1, s, 1, unit(s)) must equal
     binomial(k+1, s+1), for all 1 <= s <= k <= k_max - 1."""
-    k_max = table.k_max if k_max is None else k_max
+    k_max = table.k_max
     report = VerificationReport(suite="binomial", k_max=k_max)
     for k in range(1, k_max):
         for s in range(1, k + 1):
@@ -157,11 +156,11 @@ def verify_binomial_column(table: CTable, k_max: int | None = None) -> Verificat
     return report
 
 
-def verify_stirling2_corner(table: CTable, k_max: int | None = None) -> VerificationReport:
+def verify_stirling2_corner(table: CTable) -> VerificationReport:
     """The m = s corner: the entry at (k+1, s+1, s+1, (s+1,)) must equal
     stirling2(k+1, k-s); the same corner must also satisfy its own
     one-term recurrence sum over intermediate powers."""
-    k_max = table.k_max if k_max is None else k_max
+    k_max = table.k_max
     report = VerificationReport(suite="stirling2", k_max=k_max)
     for k in range(2, k_max):
         for s in range(1, k):
@@ -187,10 +186,10 @@ def _sums_by_upper_index(table: CTable) -> dict[tuple[int, int], int]:
     return sums
 
 
-def verify_stirling1_total(table: CTable, k_max: int | None = None) -> VerificationReport:
+def verify_stirling1_total(table: CTable) -> VerificationReport:
     """Summing the table over m and alpha at fixed (k, s) gives the
     unsigned first-kind Stirling number for (k, k-s)."""
-    k_max = table.k_max if k_max is None else k_max
+    k_max = table.k_max
     report = VerificationReport(suite="stirling1-sum", k_max=k_max)
     sums = _sums_by_upper_index(table)
     for k in range(2, k_max + 1):
@@ -200,12 +199,12 @@ def verify_stirling1_total(table: CTable, k_max: int | None = None) -> Verificat
     return report
 
 
-def verify_cycle_count_total(table: CTable, k_max: int | None = None) -> VerificationReport:
+def verify_cycle_count_total(table: CTable) -> VerificationReport:
     """Cycle-type counts against table sums: the number of permutations
     of k elements with exactly s cycles, computed as a sum of
     k! / prod(i^alpha_i alpha_i!) over cycle types, equals the table sum
     at upper index k - s."""
-    k_max = table.k_max if k_max is None else k_max
+    k_max = table.k_max
     report = VerificationReport(suite="cycle-count", k_max=k_max)
     sums = _sums_by_upper_index(table)
     for k in range(2, k_max + 1):
@@ -216,10 +215,10 @@ def verify_cycle_count_total(table: CTable, k_max: int | None = None) -> Verific
     return report
 
 
-def verify_factorial_weighted_total(table: CTable, k_max: int | None = None) -> VerificationReport:
+def verify_factorial_weighted_total(table: CTable) -> VerificationReport:
     """Weighting each entry by prod((i!)^alpha_i) and summing over m and
     alpha at fixed (k+1, s) gives (2s-1)!! * binomial(k+s, 2s)."""
-    k_max = table.k_max if k_max is None else k_max
+    k_max = table.k_max
     report = VerificationReport(suite="doublefact", k_max=k_max)
     weighted: dict[tuple[int, int], int] = {}
     for (k, s, _m, alpha), v in table.entries.items():

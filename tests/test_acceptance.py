@@ -21,6 +21,7 @@ from opow.combinat import (
 )
 from opow.ctable import (
     c_table_by_recurrence,
+    c_table_from_expansions,
     verify_binomial_column,
     verify_cross_check,
     verify_cycle_count_total,
@@ -59,24 +60,26 @@ def test_closed_forms_to_k30():
 
 def test_recurrence_extraction_cross_check():
     start = time.monotonic()
-    report = verify_cross_check(8)
+    report = verify_cross_check(c_table_from_expansions(8))
     elapsed = time.monotonic() - start
     ok = report.ok and report.checks > 0 and elapsed < 30.0
     _conclude("recurrence vs extraction, every entry, k <= 8", ok, f" ({elapsed:.2f}s)")
 
 
+def _both_tables(k_max):
+    return c_table_by_recurrence(k_max), c_table_from_expansions(k_max)
+
+
 def test_binomial_column():
-    table = c_table_by_recurrence(10)
-    report = verify_binomial_column(table)
-    ok = report.ok and report.checks == 45  # all 1 <= s <= k <= 9
-    _conclude("m=1 column equals binomials, 1 <= s <= k <= 9", ok)
+    reports = [verify_binomial_column(table) for table in _both_tables(10)]
+    ok = all(r.ok and r.checks == 45 for r in reports)  # all 1 <= s <= k <= 9
+    _conclude("m=1 column equals binomials, 1 <= s <= k <= 9, both tables", ok)
 
 
 def test_stirling2_corner_and_its_recurrence():
-    table = c_table_by_recurrence(10)
-    report = verify_stirling2_corner(table)
-    ok = report.ok and report.checks >= 36
-    _conclude("m=s corner equals second-kind Stirling, k <= 9", ok)
+    reports = [verify_stirling2_corner(table) for table in _both_tables(10)]
+    ok = all(r.ok and r.checks >= 36 for r in reports)
+    _conclude("m=s corner equals second-kind Stirling, k <= 9, both tables", ok)
 
 
 def test_three_identities():
@@ -88,14 +91,17 @@ def test_three_identities():
         for s in range(1, n + 1):
             lhs = sum(cycle_type_count(a) for a in compositions(n, s))
             convention_ok = convention_ok and lhs == by_count.get(s, 0)
-    table = c_table_by_recurrence(10)
     reports = [
-        verify_stirling1_total(table),
-        verify_cycle_count_total(table),
-        verify_factorial_weighted_total(table),
+        verify(table)
+        for table in _both_tables(10)
+        for verify in (
+            verify_stirling1_total,
+            verify_cycle_count_total,
+            verify_factorial_weighted_total,
+        )
     ]
     ok = convention_ok and all(r.ok for r in reports)
-    _conclude("identity sums (first-kind, cycle-count, double-factorial), k <= 9", ok)
+    _conclude("identity sums (first-kind, cycle-count, double-factorial), k <= 9, both tables", ok)
 
 
 def test_inverse_z_three_way():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from opow import special_u
+from opow import ctable, special_u
 from opow.cli import main
 from opow.expansion import expand
 
@@ -205,6 +205,39 @@ def test_verify_output_is_deterministic(capsys):
     _, first = run_cli(capsys, *argv)
     _, second = run_cli(capsys, *argv)
     assert first == second
+
+
+def test_identity_suites_read_the_extraction_table(capsys, monkeypatch):
+    real = ctable.c_table_from_expansions
+
+    def bumped(k_max):
+        table = real(k_max)
+        entries = dict(table.entries)
+        entries[(5, 2, 2, (2,))] += 1
+        return ctable.CTable(table.k_max, entries)
+
+    monkeypatch.setattr(ctable, "c_table_from_expansions", bumped)
+    code, out = run_cli(capsys, "verify", "--suite", "stirling1-sum", "--k-max", "7")
+    assert code == 1
+    assert out.splitlines()[-1].startswith("overall: FAIL")
+
+
+def test_verify_all_builds_each_table_once(capsys, monkeypatch):
+    calls = []
+
+    def counting(build):
+        def counted(k_max):
+            calls.append(build.__name__)
+            return build(k_max)
+
+        return counted
+
+    for build in (ctable.c_table_from_expansions, ctable.c_table_by_recurrence):
+        monkeypatch.setattr(ctable, build.__name__, counting(build))
+    code, out = run_cli(capsys, "verify", "--suite", "all", "--k-max", "7")
+    assert code == 0
+    assert "checks=768" in out.splitlines()[-1]
+    assert sorted(calls) == ["c_table_by_recurrence", "c_table_from_expansions"]
 
 
 def test_usage_errors_exit_two(capsys):

@@ -34,8 +34,8 @@ def test_seed_and_small_entries():
 
 
 def test_both_routes_agree_entry_for_entry():
-    rec = c_table_by_recurrence(9)
-    ext = c_table_from_expansions(9)
+    rec = c_table_by_recurrence(16)
+    ext = c_table_from_expansions(16)
     assert rec.entries == ext.entries
 
 
@@ -54,13 +54,13 @@ def test_rows_are_sorted():
 
 
 def test_verify_cross_check():
-    report = verify_cross_check(7)
+    report = verify_cross_check(c_table_from_expansions(7))
     assert report.ok
     assert report.checks == len(c_table_by_recurrence(7).entries)
 
 
 def test_verifiers_pass():
-    table = c_table_by_recurrence(10)
+    tables = (c_table_by_recurrence(10), c_table_from_expansions(10))
     for verifier in (
         verify_binomial_column,
         verify_stirling2_corner,
@@ -68,9 +68,10 @@ def test_verifiers_pass():
         verify_cycle_count_total,
         verify_factorial_weighted_total,
     ):
-        report = verifier(table)
-        assert report.ok, report.render_lines()
-        assert report.checks > 0
+        rec, ext = (verifier(table) for table in tables)
+        assert rec.ok, rec.render_lines()
+        assert ext.ok, ext.render_lines()
+        assert rec.checks == ext.checks > 0
 
 
 def test_verifier_detects_corruption():
