@@ -32,7 +32,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from . import ctable as ctable_mod
 from . import special_u
@@ -201,43 +201,34 @@ def cmd_expand(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 # table dumps ----------------------------------------------------------
 
 
+def _emit(fmt: str, meta: dict[str, int], fields: tuple[str, ...], rows: Iterable[tuple]) -> None:
+    """Write a table.  CSV is a header line, then one line per row with a
+    tuple field joined by ';'.  JSON is ``meta`` plus "entries", one
+    object per row, with a tuple field as a list."""
+    if fmt == "csv":
+        print(",".join(fields))
+        for row in rows:
+            print(",".join(";".join(map(str, v)) if isinstance(v, tuple) else str(v) for v in row))
+    else:
+        entries = [
+            dict(zip(fields, (list(v) if isinstance(v, tuple) else v for v in row))) for row in rows
+        ]
+        _dump_json({**meta, "entries": entries})
+
+
 def cmd_ctable(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _check_cap(parser, "--k-max", args.k_max, 2)
     table = ctable_mod.c_table_by_recurrence(args.k_max)
-    if args.format == "csv":
-        print("k,s,m,alpha,value")
-        for (k, s, m, alpha), v in table.rows():
-            print(f"{k},{s},{m},{';'.join(map(str, alpha))},{v}")
-    else:
-        payload = {
-            "k_max": args.k_max,
-            "entries": [
-                {"k": k, "s": s, "m": m, "alpha": list(alpha), "value": v}
-                for (k, s, m, alpha), v in table.rows()
-            ],
-        }
-        _dump_json(payload)
+    rows = ((*key, v) for key, v in table.rows())
+    _emit(args.format, {"k_max": args.k_max}, ("k", "s", "m", "alpha", "value"), rows)
     return 0
 
 
 def cmd_atable(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _check_cap(parser, "--k-max", args.k_max, 1)
     table = special_u.a_table_by_recurrence(args.k_max)
-    if args.format == "csv":
-        print("k,s,value")
-        for k in range(1, args.k_max + 1):
-            for s in range(1, k + 1):
-                print(f"{k},{s},{table.value(k, s)}")
-    else:
-        payload = {
-            "k_max": args.k_max,
-            "entries": [
-                {"k": k, "s": s, "value": table.value(k, s)}
-                for k in range(1, args.k_max + 1)
-                for s in range(1, k + 1)
-            ],
-        }
-        _dump_json(payload)
+    rows = ((k, s, table.value(k, s)) for k in range(1, args.k_max + 1) for s in range(1, k + 1))
+    _emit(args.format, {"k_max": args.k_max}, ("k", "s", "value"), rows)
     return 0
 
 

@@ -42,12 +42,8 @@ def stirling2_row(n: int) -> tuple[int, ...]:
         raise ValueError("stirling2_row needs n >= 1")
     if n == 1:
         return (1,)
-    prev = stirling2_row(n - 1)
-
-    def get(m: int) -> int:
-        return prev[m - 1] if 1 <= m <= n - 1 else 0
-
-    return tuple(get(m - 1) + m * get(m) for m in range(1, n + 1))
+    prev = (0, *stirling2_row(n - 1), 0)  # prev[m] = S2(n-1, m) for 0 <= m <= n
+    return tuple(prev[m - 1] + m * prev[m] for m in range(1, n + 1))
 
 
 def stirling2(n: int, m: int) -> int:
@@ -66,12 +62,8 @@ def stirling1_row(n: int) -> tuple[int, ...]:
         raise ValueError("stirling1_row needs n >= 1")
     if n == 1:
         return (1,)
-    prev = stirling1_row(n - 1)
-
-    def get(m: int) -> int:
-        return prev[m - 1] if 1 <= m <= n - 1 else 0
-
-    return tuple(get(m - 1) + (n - 1) * get(m) for m in range(1, n + 1))
+    prev = (0, *stirling1_row(n - 1), 0)  # prev[m] = S1(n-1, m) for 0 <= m <= n
+    return tuple(prev[m - 1] + (n - 1) * prev[m] for m in range(1, n + 1))
 
 
 def stirling1_unsigned(n: int, m: int) -> int:

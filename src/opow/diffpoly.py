@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import zip_longest
 from numbers import Rational
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 ExponentVector = tuple[int, ...]
 
@@ -149,16 +149,6 @@ class DiffPolynomial:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def __iter__(self) -> Iterator[DiffMonomial]:
-        return iter(self.terms)
-
-    def coefficient(self, exps: Iterable[int]) -> int:
-        key = trim(exps)
-        for mono in self.terms:
-            if mono.exps == key:
-                return mono.coeff
-        return 0
-
     def __add__(self, other: "DiffPolynomial") -> "DiffPolynomial":
         return normalize(self.terms + other.terms)
 
@@ -181,9 +171,6 @@ class DiffPolynomial:
         return normalize(out)
 
     __rmul__ = __mul__
-
-    def derivative(self) -> "DiffPolynomial":
-        return total_derivative(self)
 
     def render(self, notation: Notation = TEXT) -> str:
         """The polynomial as a signed sum in the given notation."""

@@ -5,11 +5,9 @@ a coefficient polynomial in u, u', u'', ... times the pure derivative
 (d/dz)^s.  The engine builds these coefficient polynomials iteratively:
 appending one more factor of A transforms the table by
 
-    new[1]   = u * d/dz old[1]
-    new[s]   = u * old[s-1] + u * d/dz old[s]    (1 < s <= k)
-    new[k+1] = u * old[k]
+    new[s] = u * old[s-1] + u * d/dz old[s]    (1 <= s <= k+1)
 
-starting from the single entry u at k = 1.
+with old[0] = old[k+1] = 0, starting from the single entry u at k = 1.
 
 Every monomial of the s-th coefficient at power k has total degree k
 and differential weight k - s.  That invariant drives the extraction of
@@ -85,11 +83,9 @@ def expand(k: int) -> OperatorExpansion:
 def step(exp: OperatorExpansion) -> OperatorExpansion:
     """Coefficients of A^(k+1) from those of A^k (one more factor of A)."""
     k = exp.k
-    coeffs: dict[int, DiffPolynomial] = {}
-    coeffs[1] = U * total_derivative(exp.coeffs[1])
-    for s in range(2, k + 1):
-        coeffs[s] = U * exp.coeffs[s - 1] + U * total_derivative(exp.coeffs[s])
-    coeffs[k + 1] = U * exp.coeffs[k]
+    zero = DiffPolynomial.zero()
+    old = [zero, *(exp.coeffs[s] for s in range(1, k + 1)), zero]
+    coeffs = {s: U * old[s - 1] + U * total_derivative(old[s]) for s in range(1, k + 2)}
     return OperatorExpansion(k + 1, coeffs)
 
 
@@ -145,7 +141,7 @@ def _check_one(report: VerificationReport, exp: OperatorExpansion) -> None:
     k = exp.k
     top = DiffPolynomial.u_power(k)
     report.expect_equal(f"k={k} s={k}", top, exp.coeffs[k])
-    next_down = (k * (k - 1) // 2) * (DiffPolynomial.u_power(k - 1) * DiffPolynomial.jet(1))
+    next_down = DiffPolynomial.monomial(k * (k - 1) // 2, (k - 1, 1))
     report.expect_equal(f"k={k} s={k - 1}", next_down, exp.coeffs[k - 1])
 
 

@@ -12,8 +12,10 @@ rational coefficient.  Supported substitutions:
 :func:`expand_specialized` computes these terms directly, by running
 the normal-ordering recurrence P_s <- u (P_(s-1) + P_s') over sparse
 int z-functions; it never builds the generic expansion and is what the
-CLI uses.  :func:`specialize` substitutes u into every monomial of the
-generic expansion instead.  The two routes share no arithmetic, so
+CLI uses.  :func:`specialize` instead writes each rule out as the list
+of its jets u, u', ..., u^(J) and substitutes them into every monomial
+of the generic expansion, one product of cached jet powers per
+monomial.  The two routes share no arithmetic, so
 ``specialize(expand(k), rule)`` is the reference that verifies the
 direct route.
 
@@ -29,6 +31,7 @@ Stirling numbers, and u = 1/z against the alternating display form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,7 +39,6 @@ from numbers import Rational
 from typing import Iterable, NamedTuple
 
 from .combinat import bell, binomial, double_factorial_odd, stirling1_unsigned, stirling2
-from .diffpoly import DiffMonomial, degree
 from .expansion import OperatorExpansion, expansions
 from .report import VerificationReport
 
@@ -89,92 +91,71 @@ class SpecialTerm(NamedTuple):
     d_order: int
 
 
-# z-polynomials as {exponent: Fraction}; enough machinery for the poly rule
+# A z-function is a sparse dict {(z_exp, exp_mult): coeff} standing for the
+# sum of coeff * z^z_exp * e^(exp_mult z).  Both routes below use this
+# representation, each with its own arithmetic.
 
-def _zp_mul(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            out[ea + eb] = out.get(ea + eb, Fraction(0)) + ca * cb
-    return {e: c for e, c in out.items() if c}
+_ZFunction = dict[tuple[int, int], Rational]
 
 
-def _zp_pow(a: dict[int, Fraction], n: int) -> dict[int, Fraction]:
-    out = {0: Fraction(1)}
-    for _ in range(n):
-        out = _zp_mul(out, a)
-    return out
-
-
-def _zp_derivative(a: dict[int, Fraction]) -> dict[int, Fraction]:
-    return {e - 1: c * e for e, c in a.items() if e != 0}
-
-
-def _poly_jets(coeffs: tuple[Fraction, ...], up_to: int) -> list[dict[int, Fraction]]:
-    jets = [{e: c for e, c in enumerate(coeffs) if c}]
-    for _ in range(up_to):
-        jets.append(_zp_derivative(jets[-1]))
+def _rule_jets(rule: URule, top: int) -> list[_ZFunction]:
+    """The jets u, u', ..., u^(top) under the rule, as z-functions; the
+    named rules have int coefficients, a poly rule Fraction ones."""
+    if rule.kind == "z":
+        return [{(1, 0): 1}, {(0, 0): 1}, *[{}] * top][: top + 1]
+    if rule.kind == "exp":
+        return [{(0, 1): 1}] * (top + 1)
+    if rule.kind == "inv-z":
+        return [{(-j - 1, 0): (-1) ** j * math.factorial(j)} for j in range(top + 1)]
+    jets = [{(e, 0): c for e, c in enumerate(rule.coeffs) if c}]
+    for _ in range(top):
+        jets.append({(a - 1, 0): c * a for (a, _), c in jets[-1].items() if a})
     return jets
 
 
-def _monomial_contributions(
-    mono: DiffMonomial, rule: URule, poly_jets: list[dict[int, Fraction]] | None
-) -> list[tuple[int, int, Fraction]]:
-    """(z_exp, exp_mult, value) contributions of one monomial under the rule."""
-    coeff, exps = mono
-    if rule.kind == "z":
-        if any(e for e in exps[2:]):
-            return []
-        z_exp = exps[0] if exps else 0
-        return [(z_exp, 0, Fraction(coeff))]
-    if rule.kind == "exp":
-        return [(0, degree(exps), Fraction(coeff))]
-    if rule.kind == "inv-z":
-        val = coeff
-        z_exp = 0
-        for j, e in enumerate(exps):
-            val *= ((-1) ** j * math.factorial(j)) ** e
-            z_exp -= (j + 1) * e
-        return [(z_exp, 0, Fraction(val))]
-    assert poly_jets is not None
-    prod = {0: Fraction(coeff)}
-    for j, e in enumerate(exps):
-        if e:
-            prod = _zp_mul(prod, _zp_pow(poly_jets[j], e))
-    return [(z_exp, 0, c) for z_exp, c in prod.items()]
+def _jet_product(p: _ZFunction, q: _ZFunction) -> _ZFunction:
+    out: _ZFunction = {}
+    for (pa, pm), pc in p.items():
+        for (qa, qm), qc in q.items():
+            key = (pa + qa, pm + qm)
+            out[key] = out.get(key, 0) + pc * qc
+    return out
 
 
 def specialize(exp: OperatorExpansion, rule: URule) -> tuple[SpecialTerm, ...]:
     """Evaluate the expansion's coefficient polynomials under the rule.
 
-    Terms with equal (z_exp, exp_mult, d_order) are merged, zero terms
-    dropped, and the result ordered by (d_order, z_exp, exp_mult).
+    Every rule is the list of its jets (see :func:`_rule_jets`), and a
+    monomial c u^e0 (u')^e1 ... becomes c times the product of the jet
+    powers it names.  Terms with equal (z_exp, exp_mult, d_order) are
+    merged, zero terms dropped, and the result ordered by
+    (d_order, z_exp, exp_mult).
     """
-    poly_jets = None
-    if rule.kind == "poly":
-        max_jet = max(
-            (len(mono.exps) - 1 for p in exp.coeffs.values() for mono in p.terms),
-            default=0,
-        )
-        poly_jets = _poly_jets(rule.coeffs, max_jet)
-    acc: dict[tuple[int, int, int], Fraction] = {}
+    top = max((len(mono.exps) - 1 for p in exp.coeffs.values() for mono in p.terms), default=0)
+    jets = _rule_jets(rule, top)
+
+    @functools.cache
+    def power(j: int, e: int) -> _ZFunction:
+        return {(0, 0): 1} if e == 0 else _jet_product(power(j, e - 1), jets[j])
+
+    acc: dict[tuple[int, int, int], Rational] = {}
     for s in range(1, exp.k + 1):
-        for mono in exp.coeffs[s].terms:
-            for z_exp, emult, val in _monomial_contributions(mono, rule, poly_jets):
-                key = (s, z_exp, emult)
-                acc[key] = acc.get(key, Fraction(0)) + val
+        for coeff, exps in exp.coeffs[s].terms:
+            prod: _ZFunction = {(0, 0): coeff}
+            for j, e in enumerate(exps):
+                if e:
+                    prod = _jet_product(prod, power(j, e))
+            for (z_exp, emult), c in prod.items():
+                acc[s, z_exp, emult] = acc.get((s, z_exp, emult), 0) + c
     return tuple(
-        SpecialTerm(acc[key], key[1], key[2], key[0])
+        SpecialTerm(Fraction(acc[key]), key[1], key[2], key[0])
         for key in sorted(acc)
         if acc[key] != 0
     )
 
 
-# The direct route: the normal-ordering recurrence run over z-functions.
-# A z-function is a sparse dict {(z_exp, exp_mult): coeff} standing for the
-# sum of coeff * z^z_exp * e^(exp_mult z); every coefficient is an int.
-
-_ZFunction = dict[tuple[int, int], int]
+# The direct route: the normal-ordering recurrence run over z-functions
+# whose coefficients are all int.
 
 _NAMED_Z_FUNCTIONS: dict[str, _ZFunction] = {
     "z": {(1, 0): 1},
@@ -266,17 +247,17 @@ def a_table_by_recurrence(k_max: int) -> ATable:
     """Build the signed table from its two-term recurrence.
 
     Starting at the single entry 1 for k = 1, one more power of
-    z^-1 d/dz updates the row by  new(s) = old(s-1) - (2k-s) old(s),
-    with new(1) = -(2k-1) old(1) and new(k+1) = 1.
+    z^-1 d/dz updates the row by  new(s) = old(s-1) - (2k-s) old(s)
+    for 1 <= s <= k+1, with old(0) = old(k+1) = 0.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     entries: dict[tuple[int, int], int] = {(1, 1): 1}
+    row = [1]
     for k in range(1, k_max):
-        entries[(k + 1, 1)] = -(2 * k - 1) * entries[(k, 1)]
-        for s in range(2, k + 1):
-            entries[(k + 1, s)] = entries[(k, s - 1)] - (2 * k - s) * entries[(k, s)]
-        entries[(k + 1, k + 1)] = 1
+        old = [0, *row, 0]
+        row = [old[s - 1] - (2 * k - s) * old[s] for s in range(1, k + 2)]
+        entries.update(((k + 1, s), v) for s, v in enumerate(row, start=1))
     return ATable(k_max, entries)
 
 

@@ -104,6 +104,22 @@ def test_three_identities():
     _conclude("identity sums (first-kind, cycle-count, double-factorial), k <= 9, both tables", ok)
 
 
+def test_identities_on_the_extraction_table_to_k20():
+    # past the cross-check's reach: the engine's table at k_max = 20 against
+    # every identity, each computed from combinat's independent references
+    table = c_table_from_expansions(20)
+    expected = {
+        verify_binomial_column: 190,
+        verify_stirling2_corner: 342,
+        verify_stirling1_total: 190,
+        verify_cycle_count_total: 190,
+        verify_factorial_weighted_total: 190,
+    }
+    reports = {verify: verify(table) for verify in expected}
+    ok = all(r.ok and r.checks == expected[verify] for verify, r in reports.items())
+    _conclude("five identities on the extraction table, k <= 19", ok)
+
+
 def test_inverse_z_three_way():
     report = verify_inverse_z_table(15)
     ok = report.ok and report.checks == 2 * sum(range(1, 16))
