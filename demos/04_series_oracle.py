@@ -1,7 +1,11 @@
 # The brute-force cross-check: apply A = u * d/dz to an actual Laurent
 # series, one application at a time, and compare against evaluating the
-# normal-ordered expansion on the same series.  The two routes share no
-# code, so exact agreement is meaningful evidence.
+# normal-ordered expansion on the same series.  Both routes differentiate
+# series the same way, but they form products and sums by separate
+# arithmetic (series products against one packed big-integer
+# evaluation), so exact agreement is meaningful evidence.  A derivative
+# off by a constant factor would pass it; the eigenfunction check at the
+# end, A^k z^n = n^k z^n for u = z, catches that.
 #
 # Run after installing the package:  python demos/04_series_oracle.py
 

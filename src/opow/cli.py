@@ -16,10 +16,10 @@ Exit codes: 0 all checks pass / output produced, 1 a verification
 failed, 2 usage error, 141 the reader closed the output pipe early (the
 code a shell reports for a writer killed by SIGPIPE).  The environment
 variable OPOW_MAX_K (default 40 when unset or empty; any other value
-must be an integer >= 1) caps every k-like argument to guard against
-accidental huge jobs; note that the number of table entries per power
-grows like the integer partition function, so large k_max values get
-expensive quickly.
+must be ASCII decimal digits with a value >= 1) caps every k-like
+argument to guard against accidental huge jobs; note that the number of
+table entries per power grows like the integer partition function, so
+large k_max values get expensive quickly.
 
 All numeric output is exact: integers or rationals rendered p/q.
 """
@@ -76,8 +76,8 @@ def _max_k(parser: argparse.ArgumentParser) -> int:
     if not raw:
         return DEFAULT_MAX_K
     try:
-        cap = int(raw)
-    except ValueError:
+        cap = int(raw) if raw.isascii() and raw.isdigit() else 0
+    except ValueError:  # more digits than int() converts
         cap = 0
     if cap < 1:
         parser.error(f"OPOW_MAX_K must be an integer >= 1, got {raw!r}")
@@ -236,10 +236,8 @@ def cmd_stirling(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     _check_cap(parser, "--n-max", args.n_max, 1)
     row = stirling1_row if args.kind == 1 else stirling2_row
     if args.format == "csv":
-        print("n,m,value")
-        for n in range(1, args.n_max + 1):
-            for m, v in enumerate(row(n), start=1):
-                print(f"{n},{m},{v}")
+        rows = ((n, m, v) for n in range(1, args.n_max + 1) for m, v in enumerate(row(n), start=1))
+        _emit("csv", {}, ("n", "m", "value"), rows)
     else:
         payload = {
             "kind": args.kind,

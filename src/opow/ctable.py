@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .combinat import (
     binomial,
@@ -179,10 +179,11 @@ def verify_stirling2_corner(table: CTable) -> VerificationReport:
     return report
 
 
-def _sums_by_upper_index(table: CTable) -> dict[tuple[int, int], int]:
+def _slice_sums(table: CTable, weight: Callable[[ExponentVector], int]) -> dict[tuple[int, int], int]:
+    """Sum of weight(alpha) * C over m and alpha at each (k, s)."""
     sums: dict[tuple[int, int], int] = {}
-    for (k, s, _m, _alpha), v in table.entries.items():
-        sums[(k, s)] = sums.get((k, s), 0) + v
+    for (k, s, _m, alpha), v in table.entries.items():
+        sums[(k, s)] = sums.get((k, s), 0) + weight(alpha) * v
     return sums
 
 
@@ -191,7 +192,7 @@ def verify_stirling1_total(table: CTable) -> VerificationReport:
     unsigned first-kind Stirling number for (k, k-s)."""
     k_max = table.k_max
     report = VerificationReport(suite="stirling1-sum", k_max=k_max)
-    sums = _sums_by_upper_index(table)
+    sums = _slice_sums(table, lambda alpha: 1)
     for k in range(2, k_max + 1):
         for s in range(1, k):
             loc = f"k={k} s={s}"
@@ -206,7 +207,7 @@ def verify_cycle_count_total(table: CTable) -> VerificationReport:
     at upper index k - s."""
     k_max = table.k_max
     report = VerificationReport(suite="cycle-count", k_max=k_max)
-    sums = _sums_by_upper_index(table)
+    sums = _slice_sums(table, lambda alpha: 1)
     for k in range(2, k_max + 1):
         for s in range(1, k):
             lhs = sum(cycle_type_count(alpha) for alpha in compositions(k, s))
@@ -220,12 +221,9 @@ def verify_factorial_weighted_total(table: CTable) -> VerificationReport:
     alpha at fixed (k+1, s) gives (2s-1)!! * binomial(k+s, 2s)."""
     k_max = table.k_max
     report = VerificationReport(suite="doublefact", k_max=k_max)
-    weighted: dict[tuple[int, int], int] = {}
-    for (k, s, _m, alpha), v in table.entries.items():
-        w = 1
-        for i, a in enumerate(alpha, start=1):
-            w *= math.factorial(i) ** a
-        weighted[(k, s)] = weighted.get((k, s), 0) + w * v
+    weighted = _slice_sums(
+        table, lambda alpha: math.prod(math.factorial(i) ** a for i, a in enumerate(alpha, 1))
+    )
     for kk in range(2, k_max + 1):  # kk = k + 1 in the statement
         k = kk - 1
         for s in range(1, kk):

@@ -150,6 +150,8 @@ class DiffPolynomial:
         return bool(self.terms)
 
     def __add__(self, other: "DiffPolynomial") -> "DiffPolynomial":
+        if not (self.terms and other.terms):  # a zero operand: the other is canonical
+            return self if self.terms else other
         return normalize(self.terms + other.terms)
 
     def __neg__(self) -> "DiffPolynomial":

@@ -15,7 +15,9 @@ the inner coefficient blocks: the s-th-from-the-top coefficient splits
 into slices u^(k-m) * F_m, where F_m collects the monomials free of u
 whose exponent tuple alpha satisfies sum(alpha) = m and
 sum(i * alpha_i) = s.  The integers attached to those monomials are the
-table entries served by :func:`extract_C`.
+table entries served by :func:`extract_C`, the one place that reads
+them off and checks the invariant; :func:`extract_F` reassembles a
+block F_m from those entries.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from itertools import islice
 from typing import Iterator, NamedTuple
 
 from .diffpoly import (
-    DiffMonomial,
     DiffPolynomial,
     ExponentVector,
     degree,
@@ -89,26 +90,18 @@ def step(exp: OperatorExpansion) -> OperatorExpansion:
     return OperatorExpansion(k + 1, coeffs)
 
 
-def _e0(mono: DiffMonomial) -> int:
-    return mono.exps[0] if mono.exps else 0
-
-
 def extract_F(exp: OperatorExpansion, m: int, s: int) -> DiffPolynomial:
     """The u-free block F_m inside the coefficient of (d/dz)^(k-s).
 
-    Valid for 1 <= m <= s <= k-1.  The block is read off as the
-    monomials whose u-exponent equals k - m, with that exponent reset
-    to zero; the degree invariant guarantees this is exact division by
-    u^(k-m).
+    Valid for 1 <= m <= s <= k-1.  The block is the entries of
+    :func:`extract_C` at (s, m), each alpha read back as the monomial
+    u^0 (u')^alpha_1 (u'')^alpha_2 ...; so a monomial that breaks the
+    degree or weight invariant raises ValueError here too.
     """
     k = exp.k
     if not 1 <= m <= s <= k - 1:
         raise ValueError(f"need 1 <= m <= s <= k-1, got m={m} s={s} k={k}")
-    picked = []
-    for mono in exp.coeffs[k - s].terms:
-        if _e0(mono) == k - m:
-            picked.append(DiffMonomial(mono.coeff, trim((0,) + mono.exps[1:])))
-    return normalize(picked)
+    return normalize([(e.value, (0, *e.alpha)) for e in extract_C(exp) if (e.s, e.m) == (s, m)])
 
 
 def extract_C(exp: OperatorExpansion) -> list[CEntry]:
@@ -126,13 +119,12 @@ def extract_C(exp: OperatorExpansion) -> list[CEntry]:
     for j in range(1, k):
         s = k - j
         for mono in exp.coeffs[j].terms:
-            alpha = trim(mono.exps[1:])
-            m = k - _e0(mono)
             if degree(mono.exps) != k or weight(mono.exps) != k - j:
                 raise ValueError(
                     f"invariant violation in coeffs[{j}] of A^{k}: monomial {mono}"
                 )
-            entries.append(CEntry(k, s, m, alpha, mono.coeff))
+            u_exp, *alpha = mono.exps
+            entries.append(CEntry(k, s, k - u_exp, trim(alpha), mono.coeff))
     entries.sort(key=lambda e: (e.k, e.s, e.m, e.alpha))
     return entries
 

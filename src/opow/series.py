@@ -3,17 +3,29 @@
 This is the brute-force side of the package: apply A = u * d/dz to a
 series literally, one application at a time, and compare against
 evaluating the normal-ordered coefficient polynomials on the same
-series.  The two routes share no code, so exact agreement is a real
-check of the expansion engine.
+series.  Exact agreement is a real check of the expansion engine: the
+two sides differentiate series the same way, but they form their
+products and sums by separate arithmetic.
 
-The routes share no series arithmetic either.  The literal route
-multiplies series.  The expansion side scales u's jets and f's
-derivatives to integer coefficients, packs each as its value at
+The literal route multiplies series.  The expansion side takes the
+same ``LaurentSeries.derivative`` for u's jets and f's derivatives, then
+scales them to integer coefficients, packs each as its value at
 z = 2^w, forms the whole sum with integer products and shifts, and
-splits the result once into balanced base-2^w digits.  The width w
+splits the result once into balanced base-2^w digits: every
+coefficient it returns comes from that one integer.  The width w
 comes from an l1 bound on every coefficient of the result
 (|pq|_1 <= |p|_1 |q|_1), so the digits are exactly its coefficients.
 The two results are then compared coefficient by coefficient.
+
+Besides ``derivative`` the two sides share only bookkeeping: the
+precision rule of ``LaurentSeries.__mul__`` (the expansion side applies
+it to lowest terms, see :func:`_expansion_prec`) and the
+:class:`PrecisionExhausted` check.  A wrong precision rule can make the
+sides disagree or compare fewer coefficients, never make wrong
+coefficients agree.  A derivative off by a constant factor c does pass
+the oracle, since c * d/dz is still a derivation and both sides then
+compute c^k A^k f; the unit tests of ``derivative`` and
+:func:`eigenfunction_report` (A^k z^n = n^k z^n for u = z) catch it.
 
 A series stores a dense block of exact coefficients starting at
 ``min_exp`` together with a precision bound ``prec``: coefficients of
@@ -299,21 +311,9 @@ def _evaluate(
     return total
 
 
-def _product_window(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    """The lowest term (with coefficient 1) and the precision of a * b,
-    by the rules of ``LaurentSeries.__mul__``, without multiplying: the
-    lowest term of a product of nonzero series is the product of their
-    lowest terms, kept when it lies below the product's precision."""
-    if (a.is_zero() and a.prec is None) or (b.is_zero() and b.prec is None):
-        return LaurentSeries.zero()
-    prec = None
-    if a.prec is not None:
-        prec = a.prec + b._min_for_prec()
-    if b.prec is not None:
-        prec = _min_prec(prec, b.prec + a._min_for_prec())
-    if a.is_zero() or b.is_zero():
-        return LaurentSeries.zero(prec)
-    return LaurentSeries(a.min_exp + b.min_exp, (1,), prec)
+def _window(s: LaurentSeries) -> LaurentSeries:
+    """The lowest term of s with coefficient 1, and s's precision."""
+    return LaurentSeries(s.min_exp, (1,) if s.coeffs else (), s.prec)
 
 
 def _expansion_prec(
@@ -326,29 +326,32 @@ def _expansion_prec(
     and sum is formed one at a time as a series, each power of a jet
     built up one factor at a time.  lowest[s] is the lowest exponent of
     P_s(u), or None when it is zero; a missing s has an exactly zero
-    f^(s).  Exact inputs give an exact result."""
+    f^(s).  Exact inputs give an exact result.
+
+    The products are those of ``LaurentSeries.__mul__``, taken on
+    windows: the lowest term of a product of nonzero series is the
+    product of their lowest terms, so a window's product is the
+    product's window and no other coefficient is formed."""
     if u_jets[0].prec is None and f_ders[0].prec is None:
         return None
     powers: dict[tuple[int, int], LaurentSeries] = {}
 
     def jet_power(j: int, e: int) -> LaurentSeries:
         if (j, e) not in powers:
-            powers[j, e] = (
-                _product_window(jet_power(j, e - 1), u_jets[j]) if e > 1 else u_jets[j]
-            )
+            powers[j, e] = jet_power(j, e - 1) * jet_power(j, 1) if e > 1 else _window(u_jets[j])
         return powers[j, e]
 
     prec = None
     for s, low in lowest.items():
         p_prec = None
-        for c, exps in exp.coeffs[s].terms:
-            term = LaurentSeries.z_power(0, c)
+        for _, exps in exp.coeffs[s].terms:
+            term = LaurentSeries.z_power(0)
             for j, e in enumerate(exps):
                 if e:
-                    term = _product_window(term, jet_power(j, e))
+                    term *= jet_power(j, e)
             p_prec = _min_prec(p_prec, term.prec)
         p = LaurentSeries.zero(p_prec) if low is None else LaurentSeries(low, (1,), p_prec)
-        prec = _min_prec(prec, _product_window(p, f_ders[s]).prec)
+        prec = _min_prec(prec, (p * _window(f_ders[s])).prec)
     return prec
 
 

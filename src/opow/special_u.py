@@ -26,7 +26,7 @@ double factorials and binomials; :func:`verify_inverse_z_table` checks
 recurrence, closed form and the specialized expansion against each
 other, and :func:`verify_specializations` checks u = z against
 second-kind Stirling numbers, u = e^z against unsigned first-kind
-Stirling numbers, and u = 1/z against the alternating display form.
+Stirling numbers, and u = 1/z against the same closed form.
 """
 
 from __future__ import annotations
@@ -308,8 +308,8 @@ def verify_specializations(k_max: int) -> VerificationReport:
 
     u = z must give stirling2(k, s) on z^s (d/dz)^s with Bell-number row
     sums; u = e^z must give stirling1_unsigned(k, s) on
-    e^(kz) (d/dz)^s with factorial row sums; u = 1/z must match the
-    alternating double-factorial display form term by term.
+    e^(kz) (d/dz)^s with factorial row sums; u = 1/z must match
+    :func:`a_closed_form` term by term.
     """
     report = VerificationReport(suite="special-u", k_max=k_max)
     for exp in expansions(k_max):
@@ -344,6 +344,5 @@ def verify_specializations(k_max: int) -> VerificationReport:
 
         coeffs = _inverse_z_coeffs(exp)
         for r in range(k):  # display index: term z^-(k+r) (d/dz)^(k-r)
-            want = (-1) ** r * double_factorial_odd(2 * r - 1) * binomial(k - 1 + r, 2 * r)
-            report.expect_equal(f"k={k} u=1/z r={r}", want, coeffs.get(k - r))
+            report.expect_equal(f"k={k} u=1/z r={r}", a_closed_form(k, k - r), coeffs.get(k - r))
     return report

@@ -265,7 +265,8 @@ def test_env_cap_enforced(monkeypatch, capsys):
     capsys.readouterr()
     assert main(["expand", "--k", "5"]) == 0
     capsys.readouterr()
-    for bad in ("abc", "-5", "0"):
+    # only ASCII decimal digits: int() alone would read the next four as 40
+    for bad in ("abc", "-5", "0", "4_0", " 40 ", "+40", "\u0664\u0660", "9" * 5000):
         monkeypatch.setenv("OPOW_MAX_K", bad)
         with pytest.raises(SystemExit) as err:
             main(["expand", "--k", "2"])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -108,6 +109,17 @@ def test_extract_F_range_checks():
     for m, s in [(0, 1), (2, 1), (1, 3), (1, 0)]:
         with pytest.raises(ValueError):
             extract_F(exp, m=m, s=s)
+
+
+def test_extract_F_rejects_a_monomial_off_the_invariant():
+    # 5 u^2 u'' has degree 3 in a power of degree 4; read off as m = 2 it
+    # would pass for 5 u'' next to the true 7 (u')^2
+    exp = expand(4)
+    assert extract_F(exp, m=2, s=2) == 7 * J(1, 2)
+    stray = DiffPolynomial.monomial(5, (2, 0, 1))
+    corrupted = replace(exp, coeffs={**exp.coeffs, 2: exp.coeffs[2] + stray})
+    with pytest.raises(ValueError, match="invariant violation"):
+        extract_F(corrupted, m=2, s=2)
 
 
 def test_extract_C_examples():
