@@ -143,9 +143,6 @@ class DiffPolynomial:
         """The monomial (u^(j))^e."""
         return cls.monomial(1, (0,) * j + (e,))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -153,12 +150,6 @@ class DiffPolynomial:
         if not (self.terms and other.terms):  # a zero operand: the other is canonical
             return self if self.terms else other
         return normalize(self.terms + other.terms)
-
-    def __neg__(self) -> "DiffPolynomial":
-        return DiffPolynomial(tuple(DiffMonomial(-c, e) for c, e in self.terms))
-
-    def __sub__(self, other: "DiffPolynomial") -> "DiffPolynomial":
-        return self + (-other)
 
     def __mul__(self, other: "DiffPolynomial | int") -> "DiffPolynomial":
         if isinstance(other, int):

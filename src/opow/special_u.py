@@ -2,22 +2,25 @@
 
 Substituting an actual function for u collapses each differential
 monomial to a term  coeff * z^a * e^(m z) * (d/dz)^s  with an exact
-rational coefficient.  Supported substitutions:
+rational coefficient.  A substitution rule is u itself written as such
+a z-function, a finite sum of terms c z^a e^(m z) with exact rational
+c; the named rules are
 
-* u = z        (u' = 1, higher derivatives vanish)
-* u = e^z      (every derivative is e^z again)
-* u = 1/z      (the j-th derivative is (-1)^j j! z^-(j+1))
-* u = p(z)     for a polynomial p with exact rational coefficients
+* u = z        (IDENTITY_Z)
+* u = e^z      (EXP_Z)
+* u = 1/z      (INVERSE_Z)
+
+and :func:`polynomial_u` builds u = p(z) for a polynomial p with exact
+rational coefficients.
 
 :func:`expand_specialized` computes these terms directly, by running
 the normal-ordering recurrence P_s <- u (P_(s-1) + P_s') over sparse
 int z-functions; it never builds the generic expansion and is what the
-CLI uses.  :func:`specialize` instead writes each rule out as the list
-of its jets u, u', ..., u^(J) and substitutes them into every monomial
-of the generic expansion, one product of cached jet powers per
-monomial.  The two routes share no arithmetic, so
-``specialize(expand(k), rule)`` is the reference that verifies the
-direct route.
+CLI uses.  :func:`specialize` instead differentiates u into its jets
+u, u', ..., u^(J) and substitutes them into every monomial of the
+generic expansion, one product of cached jet powers per monomial.  The
+two routes share no arithmetic, so ``specialize(expand(k), rule)`` is
+the reference that verifies the direct route.
 
 For u = 1/z the whole power collapses to one signed integer per
 derivative order: A^k = sum_s a(k, s) z^(s - 2k) (d/dz)^s.  Those
@@ -36,50 +39,62 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .combinat import bell, binomial, double_factorial_odd, stirling1_unsigned, stirling2
 from .expansion import OperatorExpansion, expansions
 from .report import VerificationReport
 
-_KINDS = ("z", "exp", "inv-z", "poly")
+# A z-function is a sparse dict {(z_exp, exp_mult): coeff} standing for the
+# sum of coeff * z^z_exp * e^(exp_mult z).  Both routes below use this
+# representation, each with its own arithmetic.
+
+_ZFunction = dict[tuple[int, int], Rational]
+
+
+def _exact(c: object) -> int | Fraction:
+    """An integral rational as int, any other as Fraction; anything
+    inexact is a TypeError."""
+    if not isinstance(c, Rational):
+        raise TypeError(f"coefficients of u must be exact rationals, not {type(c).__name__}")
+    return int(c) if c.denominator == 1 else Fraction(c)
 
 
 @dataclass(frozen=True)
 class URule:
-    """A substitution rule for u; use the module constants or
-    :func:`polynomial_u` instead of constructing directly.  The
-    coefficients of a poly rule must be exact rationals (anything else
-    is a TypeError) and are stored as Fraction."""
+    """A substitution for u, held as its z-function.  Build it from a
+    mapping {(z_exp, exp_mult): coeff}; ``terms`` is then the sorted
+    tuple of ((z_exp, exp_mult), coeff) pairs for
+    u = sum coeff * z^z_exp * e^(exp_mult z).  The exponents must be
+    ints and every coefficient an exact rational (anything else is a
+    TypeError); zero terms are dropped and a rule with none left is a
+    ValueError.  An integral coefficient is stored as int, any other as
+    Fraction."""
 
-    kind: str
-    coeffs: tuple[Fraction, ...] = ()
+    terms: Mapping[tuple[int, int], Rational] | tuple[tuple[tuple[int, int], int | Fraction], ...]
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown substitution kind {self.kind!r}")
-        if self.kind == "poly":
-            for c in self.coeffs:
-                if not isinstance(c, Rational):
-                    raise TypeError(
-                        f"polynomial coefficients must be exact rationals, not {type(c).__name__}"
-                    )
-            object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
-            if not self.coeffs or self.coeffs[-1] == 0:
-                raise ValueError("polynomial substitution needs a nonzero leading coefficient")
-        elif self.coeffs:
-            raise ValueError(f"kind {self.kind!r} takes no coefficients")
+        exact = {key: _exact(c) for key, c in dict(self.terms).items()}
+        if not all(type(a) is int and type(m) is int for a, m in exact):
+            raise TypeError("the exponents of u must be ints")
+        terms = tuple(sorted((key, c) for key, c in exact.items() if c))
+        if not terms:
+            raise ValueError("a substitution needs a nonzero term")
+        object.__setattr__(self, "terms", terms)
 
 
-IDENTITY_Z = URule("z")
-EXP_Z = URule("exp")
-INVERSE_Z = URule("inv-z")
+IDENTITY_Z = URule({(1, 0): 1})
+EXP_Z = URule({(0, 1): 1})
+INVERSE_Z = URule({(-1, 0): 1})
 
 
 def polynomial_u(coeffs: Iterable[int | Fraction]) -> URule:
     """Substitution u = c0 + c1 z + c2 z^2 + ... with exact coefficients;
     an inexact coefficient such as a float is a TypeError."""
-    return URule("poly", tuple(coeffs))
+    coeffs = [_exact(c) for c in coeffs]
+    if not coeffs or coeffs[-1] == 0:
+        raise ValueError("polynomial substitution needs a nonzero leading coefficient")
+    return URule({(e, 0): c for e, c in enumerate(coeffs)})
 
 
 class SpecialTerm(NamedTuple):
@@ -91,25 +106,19 @@ class SpecialTerm(NamedTuple):
     d_order: int
 
 
-# A z-function is a sparse dict {(z_exp, exp_mult): coeff} standing for the
-# sum of coeff * z^z_exp * e^(exp_mult z).  Both routes below use this
-# representation, each with its own arithmetic.
-
-_ZFunction = dict[tuple[int, int], Rational]
-
-
 def _rule_jets(rule: URule, top: int) -> list[_ZFunction]:
-    """The jets u, u', ..., u^(top) under the rule, as z-functions; the
-    named rules have int coefficients, a poly rule Fraction ones."""
-    if rule.kind == "z":
-        return [{(1, 0): 1}, {(0, 0): 1}, *[{}] * top][: top + 1]
-    if rule.kind == "exp":
-        return [{(0, 1): 1}] * (top + 1)
-    if rule.kind == "inv-z":
-        return [{(-j - 1, 0): (-1) ** j * math.factorial(j)} for j in range(top + 1)]
-    jets = [{(e, 0): c for e, c in enumerate(rule.coeffs) if c}]
+    """The jets u, u', ..., u^(top) under the rule, as z-functions, each
+    the derivative of the one before:
+    d/dz (c z^a e^(mz)) = c a z^(a-1) e^(mz) + c m z^a e^(mz)."""
+    jets: list[_ZFunction] = [dict(rule.terms)]
     for _ in range(top):
-        jets.append({(a - 1, 0): c * a for (a, _), c in jets[-1].items() if a})
+        jet: _ZFunction = {}
+        for (a, m), c in jets[-1].items():
+            if a:
+                jet[a - 1, m] = jet.get((a - 1, m), 0) + c * a
+            if m:
+                jet[a, m] = jet.get((a, m), 0) + c * m
+        jets.append(jet)
     return jets
 
 
@@ -157,13 +166,6 @@ def specialize(exp: OperatorExpansion, rule: URule) -> tuple[SpecialTerm, ...]:
 # The direct route: the normal-ordering recurrence run over z-functions
 # whose coefficients are all int.
 
-_NAMED_Z_FUNCTIONS: dict[str, _ZFunction] = {
-    "z": {(1, 0): 1},
-    "exp": {(0, 1): 1},
-    "inv-z": {(-1, 0): 1},
-}
-
-
 def _zf_derivative(p: _ZFunction) -> _ZFunction:
     """d/dz (c z^a e^(mz)) = c a z^(a-1) e^(mz) + c m z^a e^(mz)."""
     out: _ZFunction = {}
@@ -193,11 +195,8 @@ def _zf_mul(p: _ZFunction, q: _ZFunction) -> _ZFunction:
 
 def _scaled_u(rule: URule) -> tuple[_ZFunction, int]:
     """u times the lcm D of its coefficient denominators, and D."""
-    if rule.kind != "poly":
-        return _NAMED_Z_FUNCTIONS[rule.kind], 1
-    scale = math.lcm(*(c.denominator for c in rule.coeffs))
-    scaled = {(i, 0): c.numerator * (scale // c.denominator) for i, c in enumerate(rule.coeffs) if c}
-    return scaled, scale
+    scale = math.lcm(*(c.denominator for _, c in rule.terms))
+    return {key: c.numerator * (scale // c.denominator) for key, c in rule.terms}, scale
 
 
 def expand_specialized(k: int, rule: URule) -> tuple[SpecialTerm, ...]:
@@ -314,33 +313,25 @@ def verify_specializations(k_max: int) -> VerificationReport:
     report = VerificationReport(suite="special-u", k_max=k_max)
     for exp in expansions(k_max):
         k = exp.k
-        terms = specialize(exp, IDENTITY_Z)
-        report.expect_equal(f"k={k} u=z term count", k, len(terms))
-        for t in terms:
-            loc = f"k={k} u=z s={t.d_order}"
-            report.expect(
-                t.z_exp == t.d_order and t.exp_mult == 0,
-                loc + " shape",
-                f"z^{t.d_order}",
-                f"z^{t.z_exp} e-mult {t.exp_mult}",
-            )
-            report.expect_equal(loc, stirling2(k, t.d_order), t.coeff)
-        report.expect_equal(f"k={k} u=z row sum", bell(k), sum(t.coeff for t in terms))
-
-        terms = specialize(exp, EXP_Z)
-        report.expect_equal(f"k={k} u=exp term count", k, len(terms))
-        for t in terms:
-            loc = f"k={k} u=exp s={t.d_order}"
-            report.expect(
-                t.z_exp == 0 and t.exp_mult == k,
-                loc + " shape",
-                f"e^({k}z)",
-                f"z^{t.z_exp} e-mult {t.exp_mult}",
-            )
-            report.expect_equal(loc, stirling1_unsigned(k, t.d_order), t.coeff)
-        report.expect_equal(
-            f"k={k} u=exp row sum", math.factorial(k), sum(t.coeff for t in terms)
-        )
+        # label, rule, the (z_exp, exp_mult) every term must have and its
+        # display, the reference coefficient of (d/dz)^s, and the row sum
+        for label, rule, shape, reference, row_sum in (
+            ("z", IDENTITY_Z, lambda s: ((s, 0), f"z^{s}"), stirling2, bell(k)),
+            ("exp", EXP_Z, lambda s: ((0, k), f"e^({k}z)"), stirling1_unsigned, math.factorial(k)),
+        ):
+            terms = specialize(exp, rule)
+            report.expect_equal(f"k={k} u={label} term count", k, len(terms))
+            for t in terms:
+                loc = f"k={k} u={label} s={t.d_order}"
+                want, display = shape(t.d_order)
+                report.expect(
+                    (t.z_exp, t.exp_mult) == want,
+                    loc + " shape",
+                    display,
+                    f"z^{t.z_exp} e-mult {t.exp_mult}",
+                )
+                report.expect_equal(loc, reference(k, t.d_order), t.coeff)
+            report.expect_equal(f"k={k} u={label} row sum", row_sum, sum(t.coeff for t in terms))
 
         coeffs = _inverse_z_coeffs(exp)
         for r in range(k):  # display index: term z^-(k+r) (d/dz)^(k-r)

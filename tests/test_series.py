@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -21,7 +22,7 @@ from opow.series import (
     random_polynomial,
     series_for_rule,
 )
-from opow.special_u import EXP_Z, INVERSE_Z, polynomial_u
+from opow.special_u import EXP_Z, INVERSE_Z, URule, polynomial_u
 
 Q = Fraction
 P = LaurentSeries.polynomial
@@ -153,6 +154,10 @@ def test_precision_drop_per_application_is_bounded():
     assert g == apply_A_repeated(u, f, 3)
 
 
+MIXED_U = URule({(0, 0): Q(1, 3), (1, 1): 2})  # u = 1/3 + 2z e^z
+DECAYING_U = URule({(-1, -2): Q(1, 2), (2, 0): -1})  # u = e^(-2z) / (2z) - z^2
+
+
 def test_series_for_rule():
     assert series_for_rule(polynomial_u([1, 0, 2])) == P([1, 0, 2])
     assert series_for_rule(INVERSE_Z) == Z(-1)
@@ -161,11 +166,24 @@ def test_series_for_rule():
     assert e.prec == 5
     with pytest.raises(ValueError):
         series_for_rule(EXP_Z)
+    # prec matters only for exponential terms
+    assert series_for_rule(INVERSE_Z, prec=3) == Z(-1)
+    # 1/3 + 2z e^z = 1/3 + 2z + 2z^2 + z^3 + 1/3 z^4 + 1/12 z^5 + O(z^6)
+    mixed = series_for_rule(MIXED_U, prec=6)
+    assert mixed == LaurentSeries(0, (Q(1, 3), 2, 2, 1, Q(1, 3), Q(1, 12)), 6)
+    with pytest.raises(ValueError):
+        series_for_rule(MIXED_U)
+    # 1/2 z^-1 - 1 + z - 2/3 z^2 from the exponential term, and -z^2
+    decaying = series_for_rule(DECAYING_U, prec=3)
+    assert decaying == LaurentSeries(-1, (Q(1, 2), -1, 1, Q(-5, 3)), 3)
 
 
 def test_oracle_check_with_rules_and_random_inputs():
     assert oracle_check(3, u=INVERSE_Z, f=Z(10)).ok
     assert oracle_check(2, u=EXP_Z, f=P([0, 1, 1])).ok
+    for k in range(1, 5):
+        assert oracle_check(k, u=MIXED_U, seed=k).ok
+        assert oracle_check(k, u=DECAYING_U, seed=k).ok
     assert oracle_check(4, seed=123).ok
     with pytest.raises(ValueError):
         oracle_check(0)
@@ -408,15 +426,16 @@ def reference_apply_expansion(exp, u, f):
             poly = poly + term
         total = total + poly * f_der
     if total.prec is not None and total.is_zero():
-        raise PrecisionExhausted
+        raise PrecisionExhausted(f"no known terms remain (prec={total.prec})")
     return total
 
 
 def expansion_outcome(evaluate, exp, u, f):
+    """The result, or PrecisionExhausted with the precision it quotes."""
     try:
         return evaluate(exp, u, f)
-    except PrecisionExhausted:
-        return PrecisionExhausted
+    except PrecisionExhausted as err:
+        return PrecisionExhausted, int(re.search(r"\(prec=(-?\d+)\)$", str(err)).group(1))
 
 
 def assert_matches_reference(exp, u, f):
@@ -449,6 +468,7 @@ TRUNCATED_EXP = series_for_rule(EXP_Z, prec=9)
 @example(3, LaurentSeries.zero(), P([1, 2, 3]))
 @example(3, P([1, 2]), LaurentSeries.zero())
 @example(3, LaurentSeries.zero(4), P([1, 2, 3, 4]))
+@example(1, LaurentSeries(0, (), -1), LaurentSeries.zero(5))  # exhausted at prec=3
 @example(6, Z(-1), P([1, Q(-2, 3), 5], min_exp=-2))
 @example(7, P([Q(1, 2), 0, Q(-3, 4)], min_exp=-1), P([Q(5, 6), 1, 0, 0, 2], min_exp=3))
 @example(7, P([10**40, -(10**40) + 1, 3]), P([3 * 10**39, 0, -7, 10**40]))
@@ -461,6 +481,11 @@ def test_apply_expansion_reports_exhausted_precision():
     for evaluate in (apply_expansion, reference_apply_expansion):
         with pytest.raises(PrecisionExhausted):
             evaluate(EXPANSIONS[3], TRUNCATED_EXP, f)
+    # an empty u still bounds the precision the message quotes
+    u, f = LaurentSeries(0, (), -1), LaurentSeries.zero(5)  # O(z^-1), O(z^5)
+    for evaluate in (apply_expansion, reference_apply_expansion):
+        with pytest.raises(PrecisionExhausted, match=r"\(prec=3\)$"):
+            evaluate(EXPANSIONS[1], u, f)
 
 
 @pytest.mark.parametrize("k", range(1, 8))

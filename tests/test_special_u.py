@@ -30,23 +30,37 @@ def terms(*quads):
 
 def test_urule_validation():
     with pytest.raises(ValueError):
-        URule("cosh")
+        URule({})
     with pytest.raises(ValueError):
-        polynomial_u([1, 0])  # zero leading coefficient
+        URule({(1, 0): 0, (0, 1): Q(0)})  # no nonzero term
+    leading = "^polynomial substitution needs a nonzero leading coefficient$"
+    with pytest.raises(ValueError, match=leading):
+        polynomial_u([1, 0])
     with pytest.raises(ValueError):
         polynomial_u([])
-    with pytest.raises(ValueError):
-        URule("z", (Q(1),))
-    # inexact coefficients are rejected by the rule itself, not only by polynomial_u
+    # inexact coefficients are rejected by the rule itself, not only by polynomial_u,
+    # and before zero terms are dropped
     with pytest.raises(TypeError):
-        URule("poly", (0.5, 1.0))
+        URule({(0, 0): 0.5, (1, 0): 1.0})
     with pytest.raises(TypeError):
-        URule("poly", ("1", 2))
+        URule({(0, 0): "1", (1, 0): 2})
+    with pytest.raises(TypeError):
+        URule({(0, 0): 0.0, (1, 0): 1})
+    with pytest.raises(TypeError):
+        URule({(Q(1, 2), 0): 1})  # z^(1/2)
+    with pytest.raises(TypeError):
+        URule({(0, 1.0): 1})
     with pytest.raises(TypeError):
         polynomial_u([1, 0.5])
-    rule = URule("poly", (1, Q(1, 2)))
-    assert all(type(c) is Fraction for c in rule.coeffs)
-    assert rule == polynomial_u([1, Q(1, 2)])
+    with pytest.raises(TypeError):
+        polynomial_u([1, 0.0])
+    # sorted, zero terms dropped, integral coefficients stored as int
+    rule = URule({(1, 1): Q(4, 2), (0, 0): Q(1, 2), (3, 0): 0})
+    assert rule.terms == (((0, 0), Q(1, 2)), ((1, 1), 2))
+    assert [type(c) for _, c in rule.terms] == [Fraction, int]
+    assert rule == URule(dict(rule.terms)) and hash(rule) == hash(URule(dict(rule.terms)))
+    assert polynomial_u([1, Q(1, 2)]) == URule({(0, 0): 1, (1, 0): Q(1, 2)})
+    assert polynomial_u([0, Q(3, 3)]) == IDENTITY_Z
 
 
 def test_specialize_identity_z():
@@ -71,10 +85,7 @@ def test_specialize_polynomial():
 
 
 def test_polynomial_route_matches_identity_z():
-    z_rule = polynomial_u([0, 1])
-    for k in range(1, 7):
-        exp = expand(k)
-        assert specialize(exp, z_rule) == specialize(exp, IDENTITY_Z)
+    assert polynomial_u([0, 1]) == IDENTITY_Z
 
 
 def test_polynomial_rational_coefficients():
@@ -148,19 +159,23 @@ def test_verify_specializations():
 
 # the direct route against specialize(expand(k)) -------------------------
 
-FIXED_POLYS = (
-    polynomial_u([Q(1, 2), 0, Q(-3, 4)]),
-    polynomial_u([Q(-3, 2), 2, -1, 3]),
-    polynomial_u([0, Q(5, 3), 0, 0, Q(-1, 7)]),
-    polynomial_u([7]),
-)
+FIXED_POLYS = {
+    "poly:1/2,0,-3/4": polynomial_u([Q(1, 2), 0, Q(-3, 4)]),
+    "poly:-3/2,2,-1,3": polynomial_u([Q(-3, 2), 2, -1, 3]),
+    "poly:0,5/3,0,0,-1/7": polynomial_u([0, Q(5, 3), 0, 0, Q(-1, 7)]),
+    "poly:7": polynomial_u([7]),
+}
+SPECIALIZED_RULES = {
+    "z": IDENTITY_Z,
+    "exp": EXP_Z,
+    "inv-z": INVERSE_Z,
+    **FIXED_POLYS,
+    "1/3+2z*e^z": URule({(0, 0): Q(1, 3), (1, 1): 2}),
+    "e^(-2z)/(2z)-z^2": URule({(-1, -2): Q(1, 2), (2, 0): -1}),
+}
 
 
-@pytest.mark.parametrize(
-    "rule",
-    (IDENTITY_Z, EXP_Z, INVERSE_Z) + FIXED_POLYS,
-    ids=lambda rule: f"{rule.kind}:{','.join(map(str, rule.coeffs))}".rstrip(":"),
-)
+@pytest.mark.parametrize("rule", SPECIALIZED_RULES.values(), ids=list(SPECIALIZED_RULES))
 def test_expand_specialized_matches_specialize(rule):
     for exp in expansions(10):
         got = expand_specialized(exp.k, rule)
