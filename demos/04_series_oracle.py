@@ -48,6 +48,6 @@ print("equal:", brute == via_expansion)
 
 # And in bulk: 50 seeded pairs per power.
 print()
-report = oracle_suite(5, seed=42, trials=50)
+report = oracle_suite(5, seed=42)
 print(report.summary())
 print(eigenfunction_report(8, 8).summary())

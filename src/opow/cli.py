@@ -21,7 +21,9 @@ argument to guard against accidental huge jobs; note that the number of
 table entries per power grows like the integer partition function, so
 large k_max values get expensive quickly.
 
-All numeric output is exact: integers or rationals rendered p/q.
+All numeric output is exact: integers or rationals rendered p/q.  The
+executable lifts Python's limit on the digits of an int converted to a
+string (4300 by default), so no number is too long to print.
 """
 
 from __future__ import annotations
@@ -180,7 +182,7 @@ def _parse_u(parser: argparse.ArgumentParser, choice: str) -> URule | None:
     if choice.startswith("poly:"):
         body = choice[len("poly:"):]
         try:
-            coeffs = [Fraction(tok) for tok in body.split(",") if tok != ""]
+            coeffs = [Fraction(tok) for tok in body.split(",")]
             return polynomial_u(coeffs)
         except (ValueError, ZeroDivisionError) as err:
             parser.error(f"bad polynomial coefficients {body!r}: {err}")
@@ -327,8 +329,12 @@ def run() -> None:
     """Entry point of the ``opow`` executable and of ``python -m opow``.
 
     A reader that closes the pipe early (``opow ctable | head -1``) ends
-    the run with exit code 141 and no traceback.
+    the run with exit code 141 and no traceback.  Python's limit on the
+    digits of an int rendered as a string is lifted, so output stays exact
+    at every size.
     """
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         code = main()
         sys.stdout.flush()

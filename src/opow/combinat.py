@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
 from typing import Iterable
 
 
@@ -35,15 +34,21 @@ def double_factorial_odd(n: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
+# Rows 1, 2, ... of the two Stirling triangles built so far.  Each new row
+# is built from the last, so a cold call at large n does not recurse.
+_STIRLING2_ROWS: list[tuple[int, ...]] = [(1,)]
+_STIRLING1_ROWS: list[tuple[int, ...]] = [(1,)]
+
+
 def stirling2_row(n: int) -> tuple[int, ...]:
     """Row n of the second-kind Stirling triangle: values for m = 1..n."""
     if n < 1:
         raise ValueError("stirling2_row needs n >= 1")
-    if n == 1:
-        return (1,)
-    prev = (0, *stirling2_row(n - 1), 0)  # prev[m] = S2(n-1, m) for 0 <= m <= n
-    return tuple(prev[m - 1] + m * prev[m] for m in range(1, n + 1))
+    rows = _STIRLING2_ROWS
+    for k in range(len(rows) + 1, n + 1):
+        prev = (0, *rows[-1], 0)  # prev[m] = S2(k-1, m) for 0 <= m <= k
+        rows.append(tuple(prev[m - 1] + m * prev[m] for m in range(1, k + 1)))
+    return rows[n - 1]
 
 
 def stirling2(n: int, m: int) -> int:
@@ -55,15 +60,15 @@ def stirling2(n: int, m: int) -> int:
     return stirling2_row(n)[m - 1]
 
 
-@lru_cache(maxsize=None)
 def stirling1_row(n: int) -> tuple[int, ...]:
     """Row n of the unsigned first-kind Stirling triangle: m = 1..n."""
     if n < 1:
         raise ValueError("stirling1_row needs n >= 1")
-    if n == 1:
-        return (1,)
-    prev = (0, *stirling1_row(n - 1), 0)  # prev[m] = S1(n-1, m) for 0 <= m <= n
-    return tuple(prev[m - 1] + (n - 1) * prev[m] for m in range(1, n + 1))
+    rows = _STIRLING1_ROWS
+    for k in range(len(rows) + 1, n + 1):
+        prev = (0, *rows[-1], 0)  # prev[m] = S1(k-1, m) for 0 <= m <= k
+        rows.append(tuple(prev[m - 1] + (k - 1) * prev[m] for m in range(1, k + 1)))
+    return rows[n - 1]
 
 
 def stirling1_unsigned(n: int, m: int) -> int:

@@ -47,6 +47,13 @@ class OperatorExpansion:
     k: int
     coeffs: dict[int, DiffPolynomial]
 
+    @property
+    def max_jet(self) -> int:
+        """The highest j with u^(j) in some monomial, read from the
+        monomials themselves rather than from the degree/weight invariant."""
+        jets = (len(mono.exps) - 1 for p in self.coeffs.values() for mono in p.terms)
+        return max(jets, default=0)
+
 
 class CEntry(NamedTuple):
     """One extracted coefficient: C at (s, m, k) for the exponent tuple alpha."""

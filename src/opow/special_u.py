@@ -56,7 +56,7 @@ def _exact(c: object) -> int | Fraction:
     """An integral rational as int, any other as Fraction; anything
     inexact is a TypeError."""
     if not isinstance(c, Rational):
-        raise TypeError(f"coefficients of u must be exact rationals, not {type(c).__name__}")
+        raise TypeError(f"coefficients must be exact rationals, not {type(c).__name__}")
     return int(c) if c.denominator == 1 else Fraction(c)
 
 
@@ -140,8 +140,7 @@ def specialize(exp: OperatorExpansion, rule: URule) -> tuple[SpecialTerm, ...]:
     merged, zero terms dropped, and the result ordered by
     (d_order, z_exp, exp_mult).
     """
-    top = max((len(mono.exps) - 1 for p in exp.coeffs.values() for mono in p.terms), default=0)
-    jets = _rule_jets(rule, top)
+    jets = _rule_jets(rule, exp.max_jet)
 
     @functools.cache
     def power(j: int, e: int) -> _ZFunction:

@@ -150,7 +150,7 @@ def test_specializations_at_the_default_cap():
 
 def test_series_oracle():
     start = time.monotonic()
-    random_part = oracle_suite(6, seed=42, trials=50)
+    random_part = oracle_suite(6, seed=42)
     eigen_part = eigenfunction_report(8, 8)
     elapsed = time.monotonic() - start
     ok = (
@@ -165,7 +165,7 @@ def test_series_oracle():
 
 def test_series_oracle_to_k10():
     start = time.monotonic()
-    report = oracle_suite(10, seed=2023, trials=50)
+    report = oracle_suite(10, seed=2023)
     elapsed = time.monotonic() - start
     ok = report.ok and report.checks == 500 and elapsed < 60.0
     _conclude("series oracle: 500 random pairs (k <= 10)", ok, f" ({elapsed:.2f}s)")

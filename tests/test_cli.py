@@ -246,6 +246,9 @@ def test_usage_errors_exit_two(capsys):
         ["expand", "--k", "2", "--format", "csv"],
         ["expand", "--k", "2", "--u", "tan"],
         ["expand", "--k", "2", "--u", "poly:1,nope"],
+        ["expand", "--k", "2", "--u", "poly:1,,2"],
+        ["expand", "--k", "2", "--u", "poly:,1"],
+        ["expand", "--k", "2", "--u", "poly:1,2,"],
         ["ctable", "--k-max", "1"],
         ["stirling", "--kind", "3", "--n-max", "4"],
         ["verify", "--suite", "nonsense"],
@@ -297,3 +300,18 @@ def test_closed_pipe_exits_quietly():
     _, err = proc.communicate(timeout=120)
     assert err == b""
     assert proc.returncode == 141
+
+
+def test_output_is_exact_past_the_int_string_digit_limit():
+    # (2k-3)!! first has more than 640 digits at k = 279
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), OPOW_MAX_K="300")
+    cmd = [sys.executable, "-X", "int_max_str_digits=640", "-m", "opow"]
+    proc = subprocess.run(
+        [*cmd, "expand", "--u", "inv-z", "--k", "300", "--format", "json"],
+        cwd=REPO,
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["k"] == 300

@@ -61,6 +61,11 @@ def test_row_sums_against_bell_and_factorial():
         assert sum(stirling1_row(n)) == math.factorial(n)
 
 
+def test_stirling_rows_far_past_the_recursion_limit():
+    assert stirling2(600, 3) == (3**599 - 2**600 + 1) // 2
+    assert stirling1_unsigned(600, 1) == math.factorial(599)
+
+
 def test_bell_sequence():
     assert [bell(n) for n in range(8)] == [1, 1, 2, 5, 15, 52, 203, 877]
 

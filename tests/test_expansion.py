@@ -89,6 +89,13 @@ def test_step_matches_fresh_expansion(k):
     assert step(expand(k)) == expand(k + 1)
 
 
+def test_max_jet_is_read_from_the_monomials():
+    assert [expand(k).max_jet for k in range(1, 9)] == list(range(8))
+    exp = expand(3)
+    stray = poly(*exp.coeffs[1].terms, (1, (0, 0, 0, 0, 0, 1)))
+    assert replace(exp, coeffs={**exp.coeffs, 1: stray}).max_jet == 5
+
+
 def test_sum_of_first_coefficient_is_factorial():
     # setting every jet variable to 1 in coeffs[1] counts all entries at
     # upper index k-1, which must total (k-1)!

@@ -74,13 +74,6 @@ def test_mul_precision_rule():
     assert prod.coeff(3) == 1
 
 
-def test_scalar_multiplication_keeps_precision():
-    a = LaurentSeries.from_terms({1: 3}, prec=4)
-    assert (a * 2).coeff(1) == 6
-    assert (Q(1, 3) * a).coeff(1) == 1
-    assert (a * 2).prec == 4
-
-
 def test_addition_takes_minimum_precision():
     a = LaurentSeries.from_terms({0: 1}, prec=3)
     b = LaurentSeries.from_terms({0: 2, 5: 7}, prec=6)
@@ -198,9 +191,9 @@ def test_random_polynomial_is_reproducible():
 
 
 def test_oracle_suite_counts_and_passes():
-    report = oracle_suite(3, seed=7, trials=5)
+    report = oracle_suite(3, seed=7)
     assert report.ok
-    assert report.checks == 15
+    assert report.checks == 150
 
 
 def test_eigenfunction_report():
@@ -238,10 +231,10 @@ def ref_min(p, q):
     return p if q is None else q if p is None else min(p, q)
 
 
-def ref_add(a, b, sign=1):
+def ref_add(a, b):
     terms = dict(a[0])
     for e, c in b[0].items():
-        terms[e] = terms.get(e, 0) + sign * c
+        terms[e] = terms.get(e, 0) + c
     return ref_clip(terms, ref_min(a[1], b[1]))
 
 
@@ -321,19 +314,24 @@ def test_arithmetic_matches_naive_reference(x, y):
     assert as_ref(a) == ra and as_ref(b) == rb
     assert as_ref(a * b) == ref_mul(ra, rb)
     assert as_ref(a + b) == ref_add(ra, rb)
-    assert as_ref(a - b) == ref_add(ra, rb, -1)
     assert as_ref(a.derivative()) == ref_derivative(ra)
     assert a.agrees_with(b) == ref_agrees(ra, rb)
-    assert a.agrees_with(a * 1)
+    assert a.agrees_with(a)
     assert str(a) == ref_str(ra)
 
 
-@given(series_and_ref(), exact_values)
-def test_scalar_multiplication_matches_naive_reference(x, c):
-    a, ra = x
-    expected = ref_clip({e: v * c for e, v in ra[0].items()}, ra[1])
-    assert as_ref(a * c) == expected
-    assert as_ref(c * a) == expected
+SCALAR_OPERATIONS = {
+    "series-times-int": lambda a: a * 2,
+    "int-times-series": lambda a: 2 * a,
+    "negation": lambda a: -a,
+    "difference": lambda a: a - a,
+}
+
+
+@pytest.mark.parametrize("operation", SCALAR_OPERATIONS.values(), ids=SCALAR_OPERATIONS.keys())
+def test_only_series_products_and_sums(operation):
+    with pytest.raises(TypeError):
+        operation(P([1, 2]))
 
 
 def test_integral_fraction_is_stored_as_int():
