@@ -46,7 +46,7 @@ print("A^4 f by repeated application:", brute)
 print("A^4 f via the expansion:      ", via_expansion)
 print("equal:", brute == via_expansion)
 
-# And in bulk: 50 seeded pairs per power.
+# And in bulk: 50 seeded pairs, each taken through every power up to 5.
 print()
 report = oracle_suite(5, seed=42)
 print(report.summary())

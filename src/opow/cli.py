@@ -10,7 +10,8 @@ Subcommands of the ``opow`` executable:
 * ``ctable``    dump the coefficient table as CSV or JSON
 * ``atable``    dump the signed 1/z table as CSV or JSON
 * ``stirling``  dump a Stirling triangle (kind 1 or 2) as CSV or JSON
-* ``verify``    run one or all verification suites
+* ``verify``    run one or all verification suites, writing each
+                report as soon as its suite ends
 
 Exit codes: 0 all checks pass / output produced, 1 a verification
 failed, 2 usage error, 141 the reader closed the output pipe early (the
@@ -33,6 +34,7 @@ import functools
 import json
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
@@ -77,10 +79,9 @@ def _max_k(parser: argparse.ArgumentParser) -> int:
     raw = os.environ.get("OPOW_MAX_K", "")
     if not raw:
         return DEFAULT_MAX_K
-    try:
-        cap = int(raw) if raw.isascii() and raw.isdigit() else 0
-    except ValueError:  # more digits than int() converts
-        cap = 0
+    # Decimal reads a digit string of any length; int() refuses one past
+    # Python's int/str conversion limit (4300 digits by default)
+    cap = int(Decimal(raw)) if raw.isascii() and raw.isdigit() else 0
     if cap < 1:
         parser.error(f"OPOW_MAX_K must be an integer >= 1, got {raw!r}")
     return cap
@@ -253,23 +254,20 @@ def cmd_stirling(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
 # verification ---------------------------------------------------------
 
 
-def _run_suites(names: list[str], k_max: int, seed: int) -> list[VerificationReport]:
-    """Run the named suites in order; the extraction table is built at most once."""
-    table = functools.cache(lambda: ctable_mod.c_table_from_expansions(k_max))
-    return [_SUITES[name](k_max, seed, table) for name in names]
-
-
 def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    """Run the named suites in order, writing each report as soon as its
+    suite ends; the extraction table is built at most once."""
     _check_cap(parser, "--k-max", args.k_max, 2)
     names = list(SUITE_ORDER) if args.suite == "all" else [args.suite]
-    reports = _run_suites(names, args.k_max, args.seed)
-    for report in reports:
-        for line in report.render_lines():
-            print(line)
-    checks = sum(r.checks for r in reports)
-    failures = sum(len(r.failures) for r in reports)
+    table = functools.cache(lambda: ctable_mod.c_table_from_expansions(args.k_max))
+    checks = failures = 0
+    for name in names:
+        report = _SUITES[name](args.k_max, args.seed, table)
+        print("\n".join(report.render_lines()), flush=True)
+        checks += report.checks
+        failures += len(report.failures)
     status = "PASS" if failures == 0 else "FAIL"
-    print(f"overall: {status} suites={len(reports)} checks={checks} failures={failures}")
+    print(f"overall: {status} suites={len(names)} checks={checks} failures={failures}")
     return 0 if failures == 0 else 1
 
 

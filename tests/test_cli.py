@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from opow import ctable, special_u
+from opow import cli, ctable, special_u
 from opow.cli import main
 from opow.expansion import expand
 
@@ -268,8 +269,12 @@ def test_env_cap_enforced(monkeypatch, capsys):
     capsys.readouterr()
     assert main(["expand", "--k", "5"]) == 0
     capsys.readouterr()
+    # a cap of any length is read as the integer it is
+    monkeypatch.setenv("OPOW_MAX_K", "9" * 5000)
+    assert main(["expand", "--k", "2"]) == 0
+    capsys.readouterr()
     # only ASCII decimal digits: int() alone would read the next four as 40
-    for bad in ("abc", "-5", "0", "4_0", " 40 ", "+40", "\u0664\u0660", "9" * 5000):
+    for bad in ("abc", "-5", "0", "4_0", " 40 ", "+40", "\u0664\u0660", "0" * 5000):
         monkeypatch.setenv("OPOW_MAX_K", bad)
         with pytest.raises(SystemExit) as err:
             main(["expand", "--k", "2"])
@@ -286,20 +291,81 @@ def test_default_cap_allows_forty(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_closed_pipe_exits_quietly():
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "opow", "expand", "--k", "20", "--format", "json"],
+def opow_executable(*argv, **env):
+    """Start ``python -m opow`` on argv with stdout and stderr piped."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "opow", *argv],
         cwd=REPO,
-        env=env,
+        env=dict(os.environ, PYTHONPATH=str(REPO / "src"), **env),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )
-    assert proc.stdout.readline() == b"{\n"
+
+
+def read_one_line_and_close(*argv):
+    """The first line opow writes, then its stderr and exit code once the
+    pipe was closed after that line."""
+    proc = opow_executable(*argv)
+    first = proc.stdout.readline()
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
-    assert err == b""
-    assert proc.returncode == 141
+    return first, err, proc.returncode
+
+
+def test_closed_pipe_exits_quietly():
+    assert read_one_line_and_close("expand", "--k", "20", "--format", "json") == (b"{\n", b"", 141)
+
+
+def test_verify_closed_pipe_after_the_first_report_exits_quietly():
+    # the first report is written before the later suites run; at k_max
+    # = 12 the oracle alone then runs for about half a second, so the
+    # pipe is closed while opow still has reports to write
+    first, err, code = read_one_line_and_close("verify", "--suite", "all", "--k-max", "12")
+    assert first.startswith(b"[PASS] closed-form: k_max=12 ")
+    assert (err, code) == (b"", 141)
+
+
+class FlushRecorder(io.StringIO):
+    """A text stream that remembers what it held at its last flush."""
+
+    flushed = ""
+
+    def flush(self):
+        super().flush()
+        self.flushed = self.getvalue()
+
+
+def test_verify_writes_each_report_when_its_suite_ends(monkeypatch):
+    out = FlushRecorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    seen = []
+    real = cli.oracle_suite
+
+    def oracle_suite(k_max, seed):
+        seen.append(out.flushed)
+        return real(k_max, seed=seed)
+
+    monkeypatch.setattr(cli, "oracle_suite", oracle_suite)
+    assert main(["verify", "--suite", "all", "--k-max", "7"]) == 0
+    (flushed,) = seen
+    lines = flushed.splitlines()
+    assert len(lines) == 9
+    for line, name in zip(lines, cli.SUITE_ORDER[:-1]):
+        assert line.startswith(f"[PASS] {name}: k_max=7 ")
+    assert out.getvalue().splitlines()[-1] == "overall: PASS suites=10 checks=768 failures=0"
+
+
+def test_executable_reads_a_long_cap_as_main_does(monkeypatch, capsys):
+    for cap, code in (("9" * 5000, 0), ("0" * 5000, 2)):
+        monkeypatch.setenv("OPOW_MAX_K", cap)
+        try:
+            in_process = main(["expand", "--k", "2"])
+        except SystemExit as err:
+            in_process = err.code
+        capsys.readouterr()
+        proc = opow_executable("expand", "--k", "2", OPOW_MAX_K=cap)
+        proc.communicate(timeout=60)
+        assert in_process == proc.returncode == code
 
 
 def test_output_is_exact_past_the_int_string_digit_limit():

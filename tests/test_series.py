@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from opow import series
 from opow.diffpoly import normalize
 from opow.expansion import expand, expansions
 from opow.report import VerificationReport
@@ -16,6 +17,7 @@ from opow.series import (
     _compare_routes,
     apply_A_repeated,
     apply_expansion,
+    apply_expansions,
     eigenfunction_report,
     oracle_check,
     oracle_suite,
@@ -196,6 +198,27 @@ def test_oracle_suite_counts_and_passes():
     assert report.checks == 150
 
 
+def bump_coefficient(exp, s, i):
+    """exp with the i-th coefficient of its P_s raised by one."""
+    p = exp.coeffs[s]
+    bumped = normalize((c + (j == i), exps) for j, (c, exps) in enumerate(p.terms))
+    return replace(exp, coeffs={**exp.coeffs, s: bumped})
+
+
+def test_oracle_suite_fails_only_at_a_corrupted_power(monkeypatch):
+    walk = series.expansions
+
+    def corrupted_walk(k_max):
+        for exp in walk(k_max):
+            yield bump_coefficient(exp, 2, 1) if exp.k == 4 else exp
+
+    monkeypatch.setattr(series, "expansions", corrupted_walk)
+    report = oracle_suite(6, seed=3)
+    assert report.checks == 300
+    assert len(report.failures) == 50  # every trial
+    assert {f.location.split()[0] for f in report.failures} == {"k=4"}
+
+
 def test_eigenfunction_report():
     report = eigenfunction_report(5, 5)
     assert report.ok
@@ -373,10 +396,7 @@ def test_oracle_rejects_a_corrupted_expansion():
     assert apply_expansion(exp, u, f).agrees_with(brute)
     for s, p in exp.coeffs.items():
         for i in range(len(p.terms)):
-            bumped = normalize(
-                (c + (j == i), exps) for j, (c, exps) in enumerate(p.terms)
-            )
-            corrupted = replace(exp, coeffs={**exp.coeffs, s: bumped})
+            corrupted = bump_coefficient(exp, s, i)
             assert not apply_expansion(corrupted, u, f).agrees_with(brute), (s, i)
 
 
@@ -536,3 +556,42 @@ def test_apply_expansion_on_cancelling_corruption():
     # that takes |c| covers their sum, 1800 (z^4 - z)
     exp = with_extra_terms(EXPANSIONS[2], 1, [(400, (0, 2)), (-300, (1, 0, 1))])
     assert_matches_reference(exp, P([1, 0, 0, 1]), Z(3))
+
+
+# apply_expansions against one apply_expansion per power ---------------------
+
+EVALUATED = [*EXPANSIONS.values(), *corrupted_expansions(4).values()]
+
+
+def outcome(evaluate):
+    """What evaluate() returns, or the message of the PrecisionExhausted it raises."""
+    try:
+        return evaluate()
+    except PrecisionExhausted as err:
+        return str(err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(EVALUATED), max_size=6), oracle_series(), oracle_series())
+@example([EXPANSIONS[k] for k in (7, 2, 7, 1)], TRUNCATED_EXP, P([1, 2, 3, 4, 5, 6, 7, 8]))
+@example([EXPANSIONS[k] for k in (5, 3, 5)], P([Q(1, 2), 0, Q(-3, 4)], min_exp=-1), Z(4, Q(2, 3)))
+@example([EXPANSIONS[3], EXPANSIONS[1]], TRUNCATED_EXP, LaurentSeries.from_terms({0: 1, 1: 1}, prec=2))
+def test_apply_expansions_is_apply_expansion_per_power(exps, u, f):
+    together = outcome(lambda: apply_expansions(exps, u, f))
+    one_by_one = outcome(lambda: [apply_expansion(exp, u, f) for exp in exps])
+    assert together == one_by_one
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_series(), oracle_series())
+def test_chained_literal_powers_are_repeated_application(u, f):
+    # the oracle's literal route: one application per power on the last result
+    g = f
+    for k in range(1, 8):
+        try:
+            g = apply_A_repeated(u, g, 1)
+        except PrecisionExhausted:
+            with pytest.raises(PrecisionExhausted):
+                apply_A_repeated(u, f, k)
+            return
+        assert g == apply_A_repeated(u, f, k)
