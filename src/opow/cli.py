@@ -25,54 +25,61 @@ large k_max values get expensive quickly.
 All numeric output is exact: integers or rationals rendered p/q.  The
 executable lifts Python's limit on the digits of an int converted to a
 string (4300 by default), so no number is too long to print.
+
+Importing this module loads no other opow module.  Each subcommand
+imports the modules it runs when it runs (``expand --u`` loads only
+``special_u``), and the json, decimal and fractions modules load only
+where they are used, so start-up cost follows the command.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
-from decimal import Decimal
-from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
-from . import ctable as ctable_mod
-from . import special_u
-from .combinat import stirling1_row, stirling2_row
-from .diffpoly import LATEX, TEXT, Notation, signed_join
-from .expansion import expand, verify_closed_forms
-from .report import VerificationReport
-from .series import oracle_suite
-from .special_u import EXP_Z, IDENTITY_Z, INVERSE_Z, SpecialTerm, URule, polynomial_u
+if TYPE_CHECKING:
+    from fractions import Fraction
+    from types import ModuleType
+
+    from .ctable import CTable
+    from .diffpoly import Notation
+    from .report import VerificationReport
+    from .special_u import SpecialTerm, URule
 
 DEFAULT_MAX_K = 40
 
+
+def _module(name: str) -> ModuleType:
+    """The module ``opow.<name>``, imported on first use."""
+    import importlib
+
+    return importlib.import_module(f"{__package__}.{name}")
+
+
 # A suite runner takes k_max, the oracle seed and a zero-argument function
-# returning the shared extraction table.  Each runner looks its verifier up
-# when called, so a wrapper installed on a module attribute sees the call.
-_SUITES: dict[str, Callable[[int, int, Callable[[], ctable_mod.CTable]], VerificationReport]] = {
-    "closed-form": lambda k_max, seed, table: verify_closed_forms(k_max),
-    "cross-check": lambda k_max, seed, table: ctable_mod.verify_cross_check(table()),
-    "binomial": lambda k_max, seed, table: ctable_mod.verify_binomial_column(table()),
-    "stirling2": lambda k_max, seed, table: ctable_mod.verify_stirling2_corner(table()),
-    "stirling1-sum": lambda k_max, seed, table: ctable_mod.verify_stirling1_total(table()),
-    "cycle-count": lambda k_max, seed, table: ctable_mod.verify_cycle_count_total(table()),
-    "doublefact": lambda k_max, seed, table: ctable_mod.verify_factorial_weighted_total(table()),
-    "inverse-z": lambda k_max, seed, table: special_u.verify_inverse_z_table(k_max),
-    "special-u": lambda k_max, seed, table: special_u.verify_specializations(k_max),
-    "oracle": lambda k_max, seed, table: oracle_suite(k_max, seed=seed),
+# returning the shared extraction table.  Each runner imports its module and
+# looks its verifier up when called, so a wrapper installed on a module
+# attribute sees the call.
+_SUITES: dict[str, Callable[[int, int, Callable[[], CTable]], VerificationReport]] = {
+    "closed-form": lambda k, seed, table: _module("expansion").verify_closed_forms(k),
+    "cross-check": lambda k, seed, table: _module("ctable").verify_cross_check(table()),
+    "binomial": lambda k, seed, table: _module("ctable").verify_binomial_column(table()),
+    "stirling2": lambda k, seed, table: _module("ctable").verify_stirling2_corner(table()),
+    "stirling1-sum": lambda k, seed, table: _module("ctable").verify_stirling1_total(table()),
+    "cycle-count": lambda k, seed, table: _module("ctable").verify_cycle_count_total(table()),
+    "doublefact": lambda k, seed, table: _module("ctable").verify_factorial_weighted_total(table()),
+    "inverse-z": lambda k, seed, table: _module("special_u").verify_inverse_z_table(k),
+    "special-u": lambda k, seed, table: _module("special_u").verify_specializations(k),
+    "oracle": lambda k, seed, table: _module("series").oracle_suite(k, seed=seed),
 }
 
 SUITE_ORDER = tuple(_SUITES)
 
-_NAMED_U: dict[str, URule | None] = {
-    "generic": None,
-    "z": IDENTITY_Z,
-    "exp": EXP_Z,
-    "inv-z": INVERSE_Z,
-}
+# The named substitutions of --u and the special_u rule each one names.
+_NAMED_U = {"z": "IDENTITY_Z", "exp": "EXP_Z", "inv-z": "INVERSE_Z"}
 
 
 def _max_k(parser: argparse.ArgumentParser) -> int:
@@ -81,6 +88,8 @@ def _max_k(parser: argparse.ArgumentParser) -> int:
         return DEFAULT_MAX_K
     # Decimal reads a digit string of any length; int() refuses one past
     # Python's int/str conversion limit (4300 digits by default)
+    from decimal import Decimal
+
     cap = int(Decimal(raw)) if raw.isascii() and raw.isdigit() else 0
     if cap < 1:
         parser.error(f"OPOW_MAX_K must be an integer >= 1, got {raw!r}")
@@ -96,6 +105,8 @@ def _check_cap(parser: argparse.ArgumentParser, name: str, value: int, low: int)
 
 
 def _dump_json(payload: object) -> None:
+    import json
+
     print(json.dumps(payload, indent=2))
 
 
@@ -115,13 +126,17 @@ class _Style(NamedTuple):
     group: str  # format string wrapping a coefficient polynomial
 
 
-_STYLES = {
-    "text": _Style(TEXT, "D", "e^({}z)", "({}) "),
-    "latex": _Style(LATEX, r"\left(\frac{d}{dz}\right)", "e^{{{} z}}", r"\left({}\right)"),
-}
+def _style(fmt: str) -> _Style:
+    from .diffpoly import LATEX, TEXT
+
+    if fmt == "text":
+        return _Style(TEXT, "D", "e^({}z)", "({}) ")
+    return _Style(LATEX, r"\left(\frac{d}{dz}\right)", "e^{{{} z}}", r"\left({}\right)")
 
 
 def _render_generic(k: int, fmt: str) -> None:
+    from .expansion import expand
+
     exp = expand(k)
     if fmt == "json":
         payload = {
@@ -139,7 +154,7 @@ def _render_generic(k: int, fmt: str) -> None:
         }
         _dump_json(payload)
         return
-    style = _STYLES[fmt]
+    style = _style(fmt)
     power = style.notation.power.format
     terms = [
         style.group.format(exp.coeffs[s].render(style.notation)) + power(style.d, s)
@@ -161,7 +176,9 @@ def _special_term(t: SpecialTerm, style: _Style) -> str:
 
 
 def _render_special(k: int, u_label: str, rule: URule, fmt: str) -> None:
-    terms = special_u.expand_specialized(k, rule)
+    from .special_u import expand_specialized
+
+    terms = expand_specialized(k, rule)
     if fmt == "json":
         emult = terms[0].exp_mult if terms else 0
         payload = {
@@ -172,20 +189,30 @@ def _render_special(k: int, u_label: str, rule: URule, fmt: str) -> None:
         }
         _dump_json(payload)
         return
-    style = _STYLES[fmt]
+    from .diffpoly import signed_join
+
+    style = _style(fmt)
     body = signed_join((t.coeff, _special_term(t, style)) for t in terms)
     print(style.notation.power.format("A", k) + " = " + body)
 
 
 def _parse_u(parser: argparse.ArgumentParser, choice: str) -> URule | None:
+    if choice == "generic":
+        return None
+    from . import special_u
+
     if choice in _NAMED_U:
-        return _NAMED_U[choice]
+        return getattr(special_u, _NAMED_U[choice])
     if choice.startswith("poly:"):
+        from fractions import Fraction
+
         body = choice[len("poly:"):]
         try:
             coeffs = [Fraction(tok) for tok in body.split(",")]
-            return polynomial_u(coeffs)
-        except (ValueError, ZeroDivisionError) as err:
+            return special_u.polynomial_u(coeffs)
+        except ZeroDivisionError:
+            parser.error(f"bad polynomial coefficients {body!r}: a denominator is zero")
+        except ValueError as err:
             parser.error(f"bad polynomial coefficients {body!r}: {err}")
     parser.error(f"unknown u choice {choice!r} (use generic, z, exp, inv-z or poly:c0,c1,...)")
     raise AssertionError  # unreachable; parser.error raises SystemExit
@@ -221,7 +248,9 @@ def _emit(fmt: str, meta: dict[str, int], fields: tuple[str, ...], rows: Iterabl
 
 def cmd_ctable(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _check_cap(parser, "--k-max", args.k_max, 2)
-    table = ctable_mod.c_table_by_recurrence(args.k_max)
+    from .ctable import c_table_by_recurrence
+
+    table = c_table_by_recurrence(args.k_max)
     rows = ((*key, v) for key, v in table.rows())
     _emit(args.format, {"k_max": args.k_max}, ("k", "s", "m", "alpha", "value"), rows)
     return 0
@@ -229,7 +258,9 @@ def cmd_ctable(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 def cmd_atable(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _check_cap(parser, "--k-max", args.k_max, 1)
-    table = special_u.a_table_by_recurrence(args.k_max)
+    from .special_u import a_table_by_recurrence
+
+    table = a_table_by_recurrence(args.k_max)
     rows = ((k, s, table.value(k, s)) for k in range(1, args.k_max + 1) for s in range(1, k + 1))
     _emit(args.format, {"k_max": args.k_max}, ("k", "s", "value"), rows)
     return 0
@@ -237,6 +268,8 @@ def cmd_atable(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 def cmd_stirling(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _check_cap(parser, "--n-max", args.n_max, 1)
+    from .combinat import stirling1_row, stirling2_row
+
     row = stirling1_row if args.kind == 1 else stirling2_row
     if args.format == "csv":
         rows = ((n, m, v) for n in range(1, args.n_max + 1) for m, v in enumerate(row(n), start=1))
@@ -259,7 +292,7 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     suite ends; the extraction table is built at most once."""
     _check_cap(parser, "--k-max", args.k_max, 2)
     names = list(SUITE_ORDER) if args.suite == "all" else [args.suite]
-    table = functools.cache(lambda: ctable_mod.c_table_from_expansions(args.k_max))
+    table = functools.cache(lambda: _module("ctable").c_table_from_expansions(args.k_max))
     checks = failures = 0
     for name in names:
         report = _SUITES[name](args.k_max, args.seed, table)

@@ -36,14 +36,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
-from .combinat import bell, binomial, double_factorial_odd, stirling1_unsigned, stirling2
-from .expansion import OperatorExpansion, expansions
-from .report import VerificationReport
+if TYPE_CHECKING:
+    from .expansion import OperatorExpansion
+    from .report import VerificationReport
 
 # A z-function is a sparse dict {(z_exp, exp_mult): coeff} standing for the
 # sum of coeff * z^z_exp * e^(exp_mult z).  Both routes below use this
@@ -60,8 +59,35 @@ def _exact(c: object) -> int | Fraction:
     return int(c) if c.denominator == 1 else Fraction(c)
 
 
-@dataclass(frozen=True)
-class URule:
+class _Value:
+    """An immutable object that compares, hashes and pickles as the tuple
+    of its ``__slots__`` fields, which its ``__init__`` sets with
+    ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields()
+
+
+class URule(_Value):
     """A substitution for u, held as its z-function.  Build it from a
     mapping {(z_exp, exp_mult): coeff}; ``terms`` is then the sorted
     tuple of ((z_exp, exp_mult), coeff) pairs for
@@ -71,16 +97,24 @@ class URule:
     ValueError.  An integral coefficient is stored as int, any other as
     Fraction."""
 
-    terms: Mapping[tuple[int, int], Rational] | tuple[tuple[tuple[int, int], int | Fraction], ...]
+    __slots__ = ("terms",)
 
-    def __post_init__(self) -> None:
-        exact = {key: _exact(c) for key, c in dict(self.terms).items()}
+    terms: tuple[tuple[tuple[int, int], int | Fraction], ...]
+
+    def __init__(
+        self,
+        terms: Mapping[tuple[int, int], Rational] | tuple[tuple[tuple[int, int], Rational], ...],
+    ) -> None:
+        exact = {key: _exact(c) for key, c in dict(terms).items()}
         if not all(type(a) is int and type(m) is int for a, m in exact):
             raise TypeError("the exponents of u must be ints")
         terms = tuple(sorted((key, c) for key, c in exact.items() if c))
         if not terms:
             raise ValueError("a substitution needs a nonzero term")
         object.__setattr__(self, "terms", terms)
+
+    def __repr__(self) -> str:
+        return f"URule(terms={self.terms!r})"
 
 
 IDENTITY_Z = URule({(1, 0): 1})
@@ -227,13 +261,22 @@ def expand_specialized(k: int, rule: URule) -> tuple[SpecialTerm, ...]:
     )
 
 
-@dataclass(frozen=True)
-class ATable:
+class ATable(_Value):
     """Signed coefficients of (z^-1 d/dz)^k: entry (k, s) multiplies
-    z^(s-2k) (d/dz)^s, for 1 <= s <= k <= k_max."""
+    z^(s-2k) (d/dz)^s, for 1 <= s <= k <= k_max.  Its repr omits the
+    entries."""
+
+    __slots__ = ("k_max", "entries")
 
     k_max: int
-    entries: dict[tuple[int, int], int] = field(repr=False)
+    entries: dict[tuple[int, int], int]
+
+    def __init__(self, k_max: int, entries: dict[tuple[int, int], int]) -> None:
+        object.__setattr__(self, "k_max", k_max)
+        object.__setattr__(self, "entries", entries)
+
+    def __repr__(self) -> str:
+        return f"ATable(k_max={self.k_max!r})"
 
     def value(self, k: int, s: int) -> int:
         if not 1 <= s <= k <= self.k_max:
@@ -262,6 +305,8 @@ def a_table_by_recurrence(k_max: int) -> ATable:
 def a_closed_form(k: int, s: int) -> int:
     """Closed form of the signed table entry at (k, s):
     (-1)^(k-s) (2k-2s-1)!! binomial(2k-1-s, s-1), using (-1)!! = 1."""
+    from .combinat import binomial, double_factorial_odd
+
     if not 1 <= s <= k:
         raise ValueError(f"need 1 <= s <= k, got s={s} k={k}")
     return (
@@ -288,6 +333,9 @@ def _inverse_z_coeffs(exp: OperatorExpansion) -> dict[int, Fraction]:
 def verify_inverse_z_table(k_max: int) -> VerificationReport:
     """Three-way agreement for all k <= k_max: recurrence table entries,
     the closed form, and the u = 1/z specialization of the expansion."""
+    from .expansion import expansions
+    from .report import VerificationReport
+
     report = VerificationReport(suite="inverse-z", k_max=k_max)
     table = a_table_by_recurrence(k_max)
     for exp in expansions(k_max):
@@ -309,6 +357,10 @@ def verify_specializations(k_max: int) -> VerificationReport:
     e^(kz) (d/dz)^s with factorial row sums; u = 1/z must match
     :func:`a_closed_form` term by term.
     """
+    from .combinat import bell, stirling1_unsigned, stirling2
+    from .expansion import expansions
+    from .report import VerificationReport
+
     report = VerificationReport(suite="special-u", k_max=k_max)
     for exp in expansions(k_max):
         k = exp.k

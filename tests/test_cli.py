@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from opow import cli, ctable, special_u
+from opow import cli, ctable, series, special_u
 from opow.cli import main
 from opow.expansion import expand
 
@@ -250,6 +250,7 @@ def test_usage_errors_exit_two(capsys):
         ["expand", "--k", "2", "--u", "poly:1,,2"],
         ["expand", "--k", "2", "--u", "poly:,1"],
         ["expand", "--k", "2", "--u", "poly:1,2,"],
+        ["expand", "--k", "2", "--u", "poly:1/0"],
         ["ctable", "--k-max", "1"],
         ["stirling", "--kind", "3", "--n-max", "4"],
         ["verify", "--suite", "nonsense"],
@@ -259,6 +260,15 @@ def test_usage_errors_exit_two(capsys):
             main(argv)
         assert err.value.code == 2
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("body", ("1/0", "2,0/0", "1,-3/0,2"))
+def test_poly_zero_denominator_is_reported_in_words(capsys, body):
+    with pytest.raises(SystemExit) as err:
+        main(["expand", "--k", "2", "--u", f"poly:{body}"])
+    assert err.value.code == 2
+    message = capsys.readouterr().err.splitlines()[-1]
+    assert message == f"opow: error: bad polynomial coefficients {body!r}: a denominator is zero"
 
 
 def test_env_cap_enforced(monkeypatch, capsys):
@@ -339,13 +349,13 @@ def test_verify_writes_each_report_when_its_suite_ends(monkeypatch):
     out = FlushRecorder()
     monkeypatch.setattr(sys, "stdout", out)
     seen = []
-    real = cli.oracle_suite
+    real = series.oracle_suite
 
     def oracle_suite(k_max, seed):
         seen.append(out.flushed)
         return real(k_max, seed=seed)
 
-    monkeypatch.setattr(cli, "oracle_suite", oracle_suite)
+    monkeypatch.setattr(series, "oracle_suite", oracle_suite)
     assert main(["verify", "--suite", "all", "--k-max", "7"]) == 0
     (flushed,) = seen
     lines = flushed.splitlines()

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 from math import perm
 
@@ -61,6 +62,25 @@ def test_urule_validation():
     assert rule == URule(dict(rule.terms)) and hash(rule) == hash(URule(dict(rule.terms)))
     assert polynomial_u([1, Q(1, 2)]) == URule({(0, 0): 1, (1, 0): Q(1, 2)})
     assert polynomial_u([0, Q(3, 3)]) == IDENTITY_Z
+
+
+def test_rule_and_table_are_immutable_values():
+    rule = polynomial_u([Q(1, 2), 0, 3])
+    assert repr(rule) == "URule(terms=(((0, 0), Fraction(1, 2)), ((2, 0), 3)))"
+    assert rule != IDENTITY_Z and rule != rule.terms and {rule: 1}[polynomial_u([Q(1, 2), 0, 3])]
+    table = a_table_by_recurrence(3)
+    assert repr(table) == "ATable(k_max=3)"
+    assert table == a_table_by_recurrence(3) != a_table_by_recurrence(4)
+    with pytest.raises(TypeError):
+        hash(table)  # its entries are a dict
+    for value, field in ((rule, "terms"), (table, "k_max"), (table, "entries")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert pickle.loads(pickle.dumps(value)) == value
+    with pytest.raises(AttributeError):
+        rule.extra = 1
 
 
 def test_specialize_identity_z():
