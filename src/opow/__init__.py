@@ -78,7 +78,6 @@ _HOMES = {
     **dict.fromkeys(
         (
             "LaurentSeries",
-            "PrecisionExhausted",
             "apply_A_repeated",
             "apply_expansion",
             "apply_expansions",

@@ -204,12 +204,19 @@ def _parse_u(parser: argparse.ArgumentParser, choice: str) -> URule | None:
     if choice in _NAMED_U:
         return getattr(special_u, _NAMED_U[choice])
     if choice.startswith("poly:"):
+        import re
         from fractions import Fraction
 
         body = choice[len("poly:"):]
+        tokens = body.split(",")
+        # Fraction alone would also read "1_0", " 1", "1e3", "0.5" and
+        # non-ASCII digits, and not the same way on every Python
+        for tok in tokens:
+            if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", tok):
+                why = f"Invalid literal for Fraction: {tok!r}"
+                parser.error(f"bad polynomial coefficients {body!r}: {why}")
         try:
-            coeffs = [Fraction(tok) for tok in body.split(",")]
-            return special_u.polynomial_u(coeffs)
+            return special_u.polynomial_u([Fraction(tok) for tok in tokens])
         except ZeroDivisionError:
             parser.error(f"bad polynomial coefficients {body!r}: a denominator is zero")
         except ValueError as err:

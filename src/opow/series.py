@@ -1,4 +1,4 @@
-"""Truncated Laurent series with exact rational coefficients.
+"""Laurent polynomials with exact rational coefficients.
 
 This is the brute-force side of the package: apply A = u * d/dz to a
 series literally, one application at a time, and compare against
@@ -15,7 +15,8 @@ splits the result once into balanced base-2^w digits: every
 coefficient it returns comes from that one integer.  The width w
 comes from an l1 bound on every coefficient of the result
 (|pq|_1 <= |p|_1 |q|_1), so the digits are exactly its coefficients.
-The two results are then compared coefficient by coefficient.
+The two results are then compared with ``==``, so every coefficient
+is compared.
 :func:`apply_expansions` evaluates several powers on one (u, f) pair
 and forms the jets, derivatives, denominators and norms once for all
 of them; each power keeps its own width.  :func:`oracle_suite` takes
@@ -23,30 +24,23 @@ each of its pairs through every power: the literal side applies A once
 more to the last power's result, the expansion side evaluates every
 power on (u, f) itself and never sees a literal result.
 
-Besides ``derivative`` the two sides share only bookkeeping: the
-precision rule of ``LaurentSeries.__mul__`` (the expansion side applies
-it to lowest terms, see :func:`_expansion_prec`) and the
-:class:`PrecisionExhausted` check.  A wrong precision rule can make the
-sides disagree or compare fewer coefficients, never make wrong
-coefficients agree.  A derivative off by a constant factor c does pass
-the oracle, since c * d/dz is still a derivation and both sides then
-compute c^k A^k f; the unit tests of ``derivative`` and
-:func:`eigenfunction_report` (A^k z^n = n^k z^n for u = z) catch it.
+The two sides share only ``LaurentSeries.derivative``.  A derivative
+off by a constant factor c does pass the oracle, since c * d/dz is
+still a derivation and both sides then compute c^k A^k f; the unit
+tests of ``derivative`` and :func:`eigenfunction_report`
+(A^k z^n = n^k z^n for u = z) catch it.
 
 A series stores a dense block of exact coefficients starting at
-``min_exp`` together with a precision bound ``prec``: coefficients of
-exponent >= prec are unknown.  An integral coefficient is a plain
-``int`` and any other is a ``fractions.Fraction``; Python's numeric
-tower keeps mixed arithmetic exact, so integer polynomials (every
-random oracle input) never pay for Fraction arithmetic.  ``prec=None``
-means every coefficient is known, which is the case for the Laurent
-polynomials the oracle runs on; finite precision only enters for
-genuinely infinite series such as a truncated exponential.  The
-arithmetic is what the oracle uses and no more: the derivative, and the
-sum and product of two series (a scalar operand is a TypeError).
-Precision propagates through it: differentiation lowers it by one, a
-sum keeps the smaller, and a product is trustworthy up to
-min(a.prec + b.min_exp, b.prec + a.min_exp).
+``min_exp``; every other coefficient is zero, so every series is exact.
+An integral coefficient is a plain ``int`` and any other is a
+``fractions.Fraction``; Python's numeric tower keeps mixed arithmetic
+exact, so integer polynomials (every random oracle input) never pay for
+Fraction arithmetic.  An infinite series such as e^z enters as its
+Taylor polynomial (see :func:`series_for_rule`): the comparison is a
+polynomial identity in the jets, so an exact u tests the engine as
+fully as a truncated one.  The arithmetic is what the oracle uses and
+no more: the derivative, and the sum and product of two series (a
+scalar operand is a TypeError).
 """
 
 from __future__ import annotations
@@ -64,33 +58,18 @@ from .expansion import OperatorExpansion, expand, expansions
 from .report import VerificationReport
 from .special_u import URule, _exact
 
-
-class PrecisionExhausted(ArithmeticError):
-    """A computed series retained no known nonzero coefficient window."""
-
-
 Exact = int | Fraction
 _INT_ONLY = frozenset({int})
-
-
-def _min_prec(a: int | None, b: int | None) -> int | None:
-    if a is None:
-        return b
-    return a if b is None else min(a, b)
 
 
 @dataclass(frozen=True)
 class LaurentSeries:
     min_exp: int
     coeffs: tuple[Exact, ...]
-    prec: int | None = None
 
     def __post_init__(self) -> None:
         coeffs = self.coeffs
         min_exp = self.min_exp
-        if self.prec is not None:
-            # drop unknown territory
-            coeffs = coeffs[: max(self.prec - min_exp, 0)]
         # int arithmetic stays int, so only other types need coercing
         if not _INT_ONLY.issuperset(map(type, coeffs)):
             coeffs = [_exact(c) for c in coeffs]
@@ -105,66 +84,32 @@ class LaurentSeries:
     # construction ---------------------------------------------------
 
     @classmethod
-    def zero(cls, prec: int | None = None) -> "LaurentSeries":
-        return cls(0, (), prec)
+    def zero(cls) -> "LaurentSeries":
+        return cls(0, ())
 
     @classmethod
     def polynomial(cls, coeffs: Iterable[Exact], min_exp: int = 0) -> "LaurentSeries":
         """Exact finite series: coeffs[i] multiplies z^(min_exp + i)."""
-        return cls(min_exp, tuple(coeffs), None)
+        return cls(min_exp, tuple(coeffs))
 
     @classmethod
     def z_power(cls, n: int, coeff: Exact = 1) -> "LaurentSeries":
-        return cls(n, (coeff,), None)
+        return cls(n, (coeff,))
 
     @classmethod
-    def from_terms(
-        cls, terms: Mapping[int, Exact], prec: int | None = None
-    ) -> "LaurentSeries":
+    def from_terms(cls, terms: Mapping[int, Exact]) -> "LaurentSeries":
         if not terms:
-            return cls.zero(prec)
+            return cls.zero()
         lo = min(terms)
         hi = max(terms)
-        return cls(lo, tuple(terms.get(e, 0) for e in range(lo, hi + 1)), prec)
+        return cls(lo, tuple(terms.get(e, 0) for e in range(lo, hi + 1)))
 
     # inspection -----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        """No known nonzero coefficient (exactly zero when prec is None)."""
-        return not self.coeffs
-
-    def known(self, e: int) -> bool:
-        return self.prec is None or e < self.prec
-
-    def coeff(self, e: int) -> Exact:
-        if not self.known(e):
-            raise ValueError(f"coefficient of z^{e} is beyond precision {self.prec}")
-        i = e - self.min_exp
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
 
     def items(self) -> list[tuple[int, Exact]]:
         return [
             (self.min_exp + i, c) for i, c in enumerate(self.coeffs) if c != 0
         ]
-
-    def _min_for_prec(self) -> int:
-        # lowest exponent that can influence a product's known window
-        if self.coeffs:
-            return self.min_exp
-        return self.prec if self.prec is not None else 0
-
-    def _known_below(self, bound: int) -> "LaurentSeries":
-        # the exact series of the coefficients below z^bound
-        return LaurentSeries(self.min_exp, self.coeffs[: max(bound - self.min_exp, 0)])
-
-    def agrees_with(self, other: "LaurentSeries") -> bool:
-        """Equal on every exponent known to both series."""
-        bound = _min_prec(self.prec, other.prec)
-        if bound is None:
-            return self == other
-        return self._known_below(bound) == other._known_below(bound)
 
     def __str__(self) -> str:
         def body(e: int, mag: Exact) -> str:
@@ -173,21 +118,16 @@ class LaurentSeries:
             factor = "z" if e == 1 else f"z^{e}"
             return factor if mag == 1 else f"{mag} {factor}"
 
-        text = signed_join((c, body(e, abs(c))) for e, c in self.items())
-        if self.prec is not None:
-            return f"{text} + O(z^{self.prec})"
-        return text
+        return signed_join((c, body(e, abs(c))) for e, c in self.items())
 
     # arithmetic -----------------------------------------------------
 
     def derivative(self) -> "LaurentSeries":
         m = self.min_exp
         coeffs = tuple(map(mul, self.coeffs, range(m, m + len(self.coeffs))))
-        prec = None if self.prec is None else self.prec - 1
-        return LaurentSeries(m - 1, coeffs, prec)
+        return LaurentSeries(m - 1, coeffs)
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        prec = _min_prec(self.prec, other.prec)
         a, b = self, other
         if a.min_exp > b.min_exp:
             a, b = b, a
@@ -196,42 +136,19 @@ class LaurentSeries:
         out = list(a.coeffs)
         out.extend(repeat(0, j - len(out)))
         out[i:j] = map(add, out[i:j], b.coeffs)
-        return LaurentSeries(a.min_exp, tuple(out), prec)
+        return LaurentSeries(a.min_exp, tuple(out))
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        # an exact zero annihilates regardless of the other factor's precision
-        if self.is_zero() and self.prec is None:
-            return LaurentSeries.zero()
-        if other.is_zero() and other.prec is None:
-            return LaurentSeries.zero()
-        prec = None
-        if self.prec is not None:
-            prec = self.prec + other._min_for_prec()
-        if other.prec is not None:
-            prec = _min_prec(prec, other.prec + self._min_for_prec())
-        # dense convolution, clipped to the product's known window
-        # one slice update per coefficient of the shorter factor
-        lo = self.min_exp + other.min_exp
+        # dense convolution, one slice update per coefficient of the shorter factor
         a, b = sorted((self.coeffs, other.coeffs), key=len)
-        n = len(a) + len(b) - 1
-        if prec is not None:
-            n = min(n, prec - lo)
-        n = max(n, 0)
-        out = [0] * n
-        for i, ca in enumerate(a[:n]):
-            j = min(n, i + len(b))
-            out[i:j] = map(add, out[i:j], map(mul, repeat(ca), b))
-        return LaurentSeries(lo, tuple(out), prec)
+        out = [0] * max(len(a) + len(b) - 1, 0)
+        for i, ca in enumerate(a):
+            out[i : i + len(b)] = map(add, out[i : i + len(b)], map(mul, repeat(ca), b))
+        return LaurentSeries(self.min_exp + other.min_exp, tuple(out))
 
     __rmul__ = __mul__
-
-
-def _check_not_exhausted(result: LaurentSeries, what: str) -> LaurentSeries:
-    if result.prec is not None and result.is_zero():
-        raise PrecisionExhausted(f"{what}: no known terms remain (prec={result.prec})")
-    return result
 
 
 def apply_A_repeated(u: LaurentSeries, f: LaurentSeries, k: int) -> LaurentSeries:
@@ -241,7 +158,7 @@ def apply_A_repeated(u: LaurentSeries, f: LaurentSeries, k: int) -> LaurentSerie
     g = f
     for _ in range(k):
         g = u * g.derivative()
-    return _check_not_exhausted(g, f"A^{k} by repeated application")
+    return g
 
 
 def _denominator(s: LaurentSeries) -> int:
@@ -298,50 +215,6 @@ def _evaluate(
     return total
 
 
-def _window(s: LaurentSeries) -> LaurentSeries:
-    """The lowest term of s with coefficient 1, and s's precision."""
-    return LaurentSeries(s.min_exp, (1,) if s.coeffs else (), s.prec)
-
-
-def _expansion_prec(
-    exp: OperatorExpansion,
-    u_jets: list[LaurentSeries],
-    f_ders: list[LaurentSeries],
-    lowest: Mapping[int, int | None],
-) -> int | None:
-    """The precision that sum_s P_s(u) * f^(s) gets when every product
-    and sum is formed one at a time as a series, each power of a jet
-    built up one factor at a time.  lowest[s] is the lowest exponent of
-    P_s(u), or None when it is zero; a missing s has an exactly zero
-    f^(s).  Exact inputs give an exact result.
-
-    The products are those of ``LaurentSeries.__mul__``, taken on
-    windows: the lowest term of a product of nonzero series is the
-    product of their lowest terms, so a window's product is the
-    product's window and no other coefficient is formed."""
-    if u_jets[0].prec is None and f_ders[0].prec is None:
-        return None
-    powers: dict[tuple[int, int], LaurentSeries] = {}
-
-    def jet_power(j: int, e: int) -> LaurentSeries:
-        if (j, e) not in powers:
-            powers[j, e] = jet_power(j, e - 1) * jet_power(j, 1) if e > 1 else _window(u_jets[j])
-        return powers[j, e]
-
-    prec = None
-    for s, low in lowest.items():
-        p_prec = None
-        for _, exps in exp.coeffs[s].terms:
-            term = LaurentSeries.z_power(0)
-            for j, e in enumerate(exps):
-                if e:
-                    term *= jet_power(j, e)
-            p_prec = _min_prec(p_prec, term.prec)
-        p = LaurentSeries.zero(p_prec) if low is None else LaurentSeries(low, (1,), p_prec)
-        prec = _min_prec(prec, (p * _window(f_ders[s])).prec)
-    return prec
-
-
 def apply_expansion(
     exp: OperatorExpansion, u: LaurentSeries, f: LaurentSeries
 ) -> LaurentSeries:
@@ -362,8 +235,7 @@ def apply_expansions(
     docstring).  u and f are scaled by the lcm of their denominators;
     a monomial of degree d carries the d-th power of u's, and every
     term is brought to the highest degree present, so no degree is
-    assumed.  The precision is the one series arithmetic would give,
-    see :func:`_expansion_prec`.
+    assumed.
     """
     max_jets = [exp.max_jet for exp in exps]
     u_jets = [u]
@@ -373,20 +245,15 @@ def apply_expansions(
     for _ in range(max((exp.k for exp in exps), default=0)):
         f_ders.append(f_ders[-1].derivative())
     du, df = _denominator(u), _denominator(f)
-    # l1 bound: |coefficient of pq| <= |p|_1 |q|_1.  An f^(s) with no
-    # known term still counts once, so that P_s(u) alone is decodable.
+    # l1 bound: |coefficient of pq| <= |p|_1 |q|_1
     u_norms = [_l1_norm(jet, du) for jet in u_jets]
-    f_norms = [max(_l1_norm(der, df), 1) for der in f_ders]
+    f_norms = [_l1_norm(der, df) for der in f_ders]
     results = []
     for exp, max_jet in zip(exps, max_jets):
         k = exp.k
         jets = u_jets[: max_jet + 1]
         # an exactly zero f^(s) annihilates P_s, whatever P_s is
-        used = {
-            s: exp.coeffs[s].terms
-            for s in range(1, k + 1)
-            if f_ders[s].coeffs or f_ders[s].prec is not None
-        }
+        used = {s: exp.coeffs[s].terms for s in range(1, k + 1) if f_ders[s].coeffs}
         degrees = {sum(vector) for terms in used.values() for _, vector in terms}
         top = max(degrees, default=0)
         norm_scale = {d: du ** (top - d) for d in degrees}
@@ -401,38 +268,35 @@ def apply_expansions(
         shift = min((d * base for d in degrees), default=0)
         scale = {d: du ** (top - d) << (w * (d * base - shift)) for d in degrees}
         packed = [_packed(jet, du, w, base) for jet in jets]
-        f_shift = min((f_ders[s].min_exp for s in used if f_ders[s].coeffs), default=0)
-        total = 0
-        lowest = {}
-        for s, terms in used.items():
-            p = _evaluate(terms, packed, scale)
-            # a digit below 2^w leaves the lowest set bit inside its own digit
-            lowest[s] = shift + ((p & -p).bit_length() - 1) // w if p else None
-            total += p * _packed(f_ders[s], df, w, f_shift)
+        f_shift = min((f_ders[s].min_exp for s in used), default=0)
+        total = sum(
+            _evaluate(terms, packed, scale) * _packed(f_ders[s], df, w, f_shift)
+            for s, terms in used.items()
+        )
 
         denominator = du**top * df
         coeffs = _unpacked(total, w)
         if denominator != 1:
             coeffs = [Fraction(c, denominator) for c in coeffs]
-        prec = _expansion_prec(exp, jets, f_ders, lowest)
-        result = LaurentSeries(shift + f_shift, tuple(coeffs), prec)
-        results.append(_check_not_exhausted(result, f"A^{k} by expansion"))
+        results.append(LaurentSeries(shift + f_shift, tuple(coeffs)))
     return results
 
 
 def series_for_rule(rule: URule, prec: int | None = None) -> LaurentSeries:
     """The series of u under a substitution rule: the sum of its terms
-    c z^a e^(mz).  A term with m != 0 is an infinite series, truncated
-    at prec, so such a rule requires a finite prec; prec is ignored when
-    no term is exponential."""
+    c z^a e^(mz).  A term with m != 0 is an infinite series and becomes
+    its exact Taylor polynomial, cut below z^prec, so such a rule
+    requires a finite prec; prec is ignored when no term is exponential.
+    The oracle compares its two sides as exact polynomial identities in
+    the jets, so the cut series tests them as fully as e^(mz) would."""
     total = LaurentSeries.from_terms({a: c for (a, m), c in rule.terms if not m})
     exponential = [(a, m, c) for (a, m), c in rule.terms if m]
     if exponential and prec is None:
         raise ValueError("the exponential substitution needs a finite precision")
     for a, m, c in exponential:
-        # c z^a e^(mz) = sum_n c m^n / n! z^(a+n), known below prec
+        # c z^a e^(mz) = sum_n c m^n / n! z^(a+n), cut below z^prec
         coeffs = tuple(Fraction(c * m**n, math.factorial(n)) for n in range(max(prec - a, 0)))
-        total += LaurentSeries(a, coeffs, prec)
+        total += LaurentSeries(a, coeffs)
     return total
 
 
@@ -442,19 +306,6 @@ def random_polynomial(rng: random.Random, max_degree: int) -> LaurentSeries:
         cs = [rng.randint(-9, 9) for _ in range(max_degree + 1)]
         if any(cs):
             return LaurentSeries.polynomial(cs)
-
-
-def _compare_routes(
-    report: VerificationReport,
-    location: str,
-    exp: OperatorExpansion,
-    u: LaurentSeries,
-    f: LaurentSeries,
-) -> None:
-    """Record one check: A^k applied to f literally and via the expansion agree."""
-    brute = apply_A_repeated(u, f, exp.k)
-    via_expansion = apply_expansion(exp, u, f)
-    report.expect(brute.agrees_with(via_expansion), location, brute, via_expansion)
 
 
 def oracle_check(
@@ -475,7 +326,9 @@ def oracle_check(
     if f is None:
         f = random_polynomial(rng, 6)
     report = VerificationReport(suite="oracle", k_max=k)
-    _compare_routes(report, f"k={k} u={u} f={f}", expand(k), u, f)
+    location = f"k={k} u={u} f={f}"
+    exp = expand(k)
+    report.expect_equal(location, apply_A_repeated(u, f, k), apply_expansion(exp, u, f))
     return report
 
 
@@ -496,7 +349,7 @@ def oracle_suite(k_max: int, seed: int = 0) -> VerificationReport:
         for exp, via_expansion in zip(exps, apply_expansions(exps, u, f)):
             brute = apply_A_repeated(u, brute, 1)
             location = f"k={exp.k} trial={trial}"
-            report.expect(brute.agrees_with(via_expansion), location, brute, via_expansion)
+            report.expect_equal(location, brute, via_expansion)
     return report
 
 

@@ -251,6 +251,11 @@ def test_usage_errors_exit_two(capsys):
         ["expand", "--k", "2", "--u", "poly:,1"],
         ["expand", "--k", "2", "--u", "poly:1,2,"],
         ["expand", "--k", "2", "--u", "poly:1/0"],
+        ["expand", "--k", "2", "--u", "poly:1_0"],
+        ["expand", "--k", "2", "--u", "poly: 1"],
+        ["expand", "--k", "2", "--u", "poly:\u0663"],
+        ["expand", "--k", "2", "--u", "poly:1e3"],
+        ["expand", "--k", "2", "--u", "poly:0.5"],
         ["ctable", "--k-max", "1"],
         ["stirling", "--kind", "3", "--n-max", "4"],
         ["verify", "--suite", "nonsense"],
@@ -269,6 +274,14 @@ def test_poly_zero_denominator_is_reported_in_words(capsys, body):
     assert err.value.code == 2
     message = capsys.readouterr().err.splitlines()[-1]
     assert message == f"opow: error: bad polynomial coefficients {body!r}: a denominator is zero"
+
+
+def test_poly_reads_signed_integers_and_fractions(capsys):
+    assert main(["expand", "--k", "2", "--u", "poly:+3/2,-2,01"]) == 0
+    assert capsys.readouterr().out == (
+        "A^2 = -3 D^1 + 7 z^1 D^1 - 6 z^2 D^1 + 2 z^3 D^1"
+        " + 9/4 D^2 - 6 z^1 D^2 + 7 z^2 D^2 - 4 z^3 D^2 + 1 z^4 D^2\n"
+    )
 
 
 def test_env_cap_enforced(monkeypatch, capsys):

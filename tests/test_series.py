@@ -1,5 +1,5 @@
+import math
 import random
-import re
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -10,11 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from opow import series
 from opow.diffpoly import normalize
 from opow.expansion import expand, expansions
-from opow.report import VerificationReport
 from opow.series import (
     LaurentSeries,
-    PrecisionExhausted,
-    _compare_routes,
     apply_A_repeated,
     apply_expansion,
     apply_expansions,
@@ -32,33 +29,16 @@ Z = LaurentSeries.z_power
 
 
 def test_construction_canonicalizes():
-    s = LaurentSeries(0, (0, 1, 0), None)
+    s = LaurentSeries(0, (0, 1, 0))
     assert s.min_exp == 1 and s.coeffs == (Q(1),)
-    assert LaurentSeries.zero().is_zero()
-    assert P([]).is_zero()
-
-
-def test_coeff_lookup_and_precision():
-    s = LaurentSeries.from_terms({0: 1, 3: 2}, prec=5)
-    assert s.coeff(0) == 1
-    assert s.coeff(3) == 2
-    assert s.coeff(4) == 0
-    assert s.coeff(-7) == 0
-    with pytest.raises(ValueError):
-        s.coeff(5)
+    assert LaurentSeries.zero() == P([]) == LaurentSeries(3, (0, 0))
+    assert LaurentSeries.zero().coeffs == ()
 
 
 def test_derivative_examples():
     assert Z(2).derivative() == P([2], min_exp=1)  # d/dz z^2 = 2z
     assert Z(-1).derivative() == Z(-2, -1)  # d/dz 1/z = -1/z^2
-    assert P([5]).derivative().is_zero()
-
-
-def test_derivative_lowers_precision():
-    s = LaurentSeries.from_terms({0: 1, 1: 1}, prec=4)
-    d = s.derivative()
-    assert d.prec == 3
-    assert d.coeff(0) == 1
+    assert P([5]).derivative() == LaurentSeries.zero()
 
 
 def test_mul_examples():
@@ -67,27 +47,10 @@ def test_mul_examples():
     assert Z(-1) * Z(2) == Z(1)
 
 
-def test_mul_precision_rule():
-    a = LaurentSeries.from_terms({2: 1}, prec=5)  # z^2 + O(z^5)
-    b = LaurentSeries.from_terms({1: 1}, prec=4)  # z   + O(z^4)
-    prod = a * b
-    # min(a.prec + b.min, b.prec + a.min) = min(5+1, 4+2) = 6
-    assert prod.prec == 6
-    assert prod.coeff(3) == 1
-
-
-def test_addition_takes_minimum_precision():
-    a = LaurentSeries.from_terms({0: 1}, prec=3)
-    b = LaurentSeries.from_terms({0: 2, 5: 7}, prec=6)
-    s = a + b
-    assert s.prec == 3
-    assert s.coeff(0) == 3
-
-
 def test_exact_zero_annihilates_truncated_series():
-    a = LaurentSeries.from_terms({0: 1}, prec=3)
+    a = series_for_rule(EXP_Z, prec=3)  # 1 + z + 1/2 z^2
     z = LaurentSeries.zero()
-    assert (a * z).is_zero() and (a * z).prec is None
+    assert a * z == z * a == z
 
 
 def test_apply_A_repeated_examples():
@@ -118,35 +81,9 @@ def test_apply_expansion_matches_repeated_application():
         assert apply_A_repeated(u, f, k) == apply_expansion(expand(k), u, f)
 
 
-def test_agrees_with_respects_joint_precision():
-    exact = P([1, 2, 3])
-    truncated = LaurentSeries.from_terms({0: 1, 1: 2}, prec=2)
-    assert exact.agrees_with(truncated)  # z^2 term is beyond joint precision
-    differing = LaurentSeries.from_terms({0: 1, 1: 5}, prec=2)
-    assert not exact.agrees_with(differing)
-
-
-def test_precision_exhaustion():
-    f = LaurentSeries.from_terms({0: 1}, prec=1)  # 1 + O(z)
-    z = P([0, 1])
-    with pytest.raises(PrecisionExhausted):
-        apply_A_repeated(z, f, 1)
-
-
 def test_exact_zero_result_is_fine():
-    # constant f: A f = u * 0 = 0 exactly, not an exhaustion
-    assert apply_A_repeated(P([0, 1]), P([5]), 1).is_zero()
-
-
-def test_precision_drop_per_application_is_bounded():
-    u = Z(-1)
-    f = LaurentSeries.from_terms({6: 1}, prec=12)
-    g = f
-    for _ in range(3):
-        prev = g.prec
-        g = u * g.derivative()
-        assert g.prec >= prev - (1 + abs(u.min_exp))
-    assert g == apply_A_repeated(u, f, 3)
+    # constant f: A f = u * 0 = 0 exactly
+    assert apply_A_repeated(P([0, 1]), P([5]), 1) == LaurentSeries.zero()
 
 
 MIXED_U = URule({(0, 0): Q(1, 3), (1, 1): 2})  # u = 1/3 + 2z e^z
@@ -156,21 +93,24 @@ DECAYING_U = URule({(-1, -2): Q(1, 2), (2, 0): -1})  # u = e^(-2z) / (2z) - z^2
 def test_series_for_rule():
     assert series_for_rule(polynomial_u([1, 0, 2])) == P([1, 0, 2])
     assert series_for_rule(INVERSE_Z) == Z(-1)
+    # e^z cut below z^5: its Taylor polynomial of degree 4, exactly
     e = series_for_rule(EXP_Z, prec=5)
-    assert e.coeff(3) == Q(1, 6)
-    assert e.prec == 5
+    assert e == P([1, 1, Q(1, 2), Q(1, 6), Q(1, 24)])
+    assert str(e) == "1 + z + 1/2 z^2 + 1/6 z^3 + 1/24 z^4"
+    assert series_for_rule(EXP_Z, prec=9) == TRUNCATED_EXP
+    assert series_for_rule(EXP_Z, prec=0) == LaurentSeries.zero()
     with pytest.raises(ValueError):
         series_for_rule(EXP_Z)
     # prec matters only for exponential terms
     assert series_for_rule(INVERSE_Z, prec=3) == Z(-1)
-    # 1/3 + 2z e^z = 1/3 + 2z + 2z^2 + z^3 + 1/3 z^4 + 1/12 z^5 + O(z^6)
+    # 1/3 + 2z e^z cut below z^6 = 1/3 + 2z + 2z^2 + z^3 + 1/3 z^4 + 1/12 z^5
     mixed = series_for_rule(MIXED_U, prec=6)
-    assert mixed == LaurentSeries(0, (Q(1, 3), 2, 2, 1, Q(1, 3), Q(1, 12)), 6)
+    assert mixed == P([Q(1, 3), 2, 2, 1, Q(1, 3), Q(1, 12)])
     with pytest.raises(ValueError):
         series_for_rule(MIXED_U)
     # 1/2 z^-1 - 1 + z - 2/3 z^2 from the exponential term, and -z^2
     decaying = series_for_rule(DECAYING_U, prec=3)
-    assert decaying == LaurentSeries(-1, (Q(1, 2), -1, 1, Q(-5, 3)), 3)
+    assert decaying == P([Q(1, 2), -1, 1, Q(-5, 3)], min_exp=-1)
 
 
 def test_oracle_check_with_rules_and_random_inputs():
@@ -188,7 +128,7 @@ def test_random_polynomial_is_reproducible():
     a = random_polynomial(random.Random(99), 4)
     b = random_polynomial(random.Random(99), 4)
     assert a == b
-    assert not a.is_zero()
+    assert a.coeffs
     assert all(c.denominator == 1 and abs(c) <= 9 for c in a.coeffs)
 
 
@@ -228,91 +168,62 @@ def test_eigenfunction_report():
 def test_str_rendering():
     assert str(P([1, -2])) == "1 - 2 z"
     assert str(Z(-3, Q(1, 2))) == "1/2 z^-3"
-    assert str(LaurentSeries.from_terms({0: 1}, prec=4)) == "1 + O(z^4)"
     assert str(LaurentSeries.zero()) == "0"
     assert str(P([Q(-3, 4), 1, -1], -1)) == "-3/4 z^-1 + 1 - z"
-    assert str(LaurentSeries.from_terms({-2: -1, 1: Q(5, 3), 2: -2}, prec=4)) == (
-        "-z^-2 + 5/3 z - 2 z^2 + O(z^4)"
-    )
+    assert str(LaurentSeries.from_terms({-2: -1, 1: Q(5, 3), 2: -2})) == "-z^-2 + 5/3 z - 2 z^2"
 
 
-# A naive reference: a series is ({exponent: Fraction} of its nonzero known
-# coefficients, prec), built from the raw constructor arguments.
+# A naive reference: a series is the {exponent: Fraction} of its nonzero
+# coefficients, built from the raw constructor arguments.
 
-def ref_of(min_exp, coeffs, prec):
-    terms = {min_exp + i: Fraction(c) for i, c in enumerate(coeffs) if c != 0}
-    if prec is not None:
-        terms = {e: c for e, c in terms.items() if e < prec}
-    return terms, prec
+def ref_of(min_exp, coeffs):
+    return {min_exp + i: Fraction(c) for i, c in enumerate(coeffs) if c != 0}
 
 
-def ref_clip(terms, prec):
-    return {e: c for e, c in terms.items() if c != 0 and (prec is None or e < prec)}, prec
-
-
-def ref_min(p, q):
-    return p if q is None else q if p is None else min(p, q)
+def ref_nonzero(terms):
+    return {e: c for e, c in terms.items() if c != 0}
 
 
 def ref_add(a, b):
-    terms = dict(a[0])
-    for e, c in b[0].items():
+    terms = dict(a)
+    for e, c in b.items():
         terms[e] = terms.get(e, 0) + c
-    return ref_clip(terms, ref_min(a[1], b[1]))
+    return ref_nonzero(terms)
 
 
 def ref_mul(a, b):
-    if (not a[0] and a[1] is None) or (not b[0] and b[1] is None):
-        return {}, None
-
-    def lowest(x):
-        return min(x[0]) if x[0] else (x[1] if x[1] is not None else 0)
-
-    prec = None
-    if a[1] is not None:
-        prec = a[1] + lowest(b)
-    if b[1] is not None:
-        prec = ref_min(prec, b[1] + lowest(a))
     terms = {}
-    for ea, ca in a[0].items():
-        for eb, cb in b[0].items():
+    for ea, ca in a.items():
+        for eb, cb in b.items():
             terms[ea + eb] = terms.get(ea + eb, 0) + ca * cb
-    return ref_clip(terms, prec)
+    return ref_nonzero(terms)
 
 
 def ref_derivative(a):
-    terms = {e - 1: e * c for e, c in a[0].items()}
-    return ref_clip(terms, None if a[1] is None else a[1] - 1)
-
-
-def ref_agrees(a, b):
-    bound = ref_min(a[1], b[1])
-    return ref_clip(a[0], bound) == ref_clip(b[0], bound)
+    return ref_nonzero({e - 1: e * c for e, c in a.items()})
 
 
 def ref_str(a):
     pieces = []
-    for e in sorted(a[0]):
-        c = a[0][e]
+    for e in sorted(a):
+        c = a[e]
         mag = abs(c)
         factor = "" if e == 0 else "z" if e == 1 else f"z^{e}"
         body = str(mag) if not factor else factor if mag == 1 else f"{mag} {factor}"
         sign = ("-" if c < 0 else "") if not pieces else ("- " if c < 0 else "+ ")
         pieces.append(sign + body)
-    text = " ".join(pieces) or "0"
-    return text if a[1] is None else f"{text} + O(z^{a[1]})"
+    return " ".join(pieces) or "0"
 
 
 def as_ref(s):
     """Check the representation invariants of s and read it back as a reference."""
     if s.coeffs:
         assert s.coeffs[0] != 0 and s.coeffs[-1] != 0
-        assert s.prec is None or s.min_exp + len(s.coeffs) <= s.prec
     else:
         assert s.min_exp == 0
     for c in s.coeffs:
         assert type(c) is (int if c.denominator == 1 else Fraction)
-    return {s.min_exp + i: c for i, c in enumerate(s.coeffs) if c != 0}, s.prec
+    return {s.min_exp + i: c for i, c in enumerate(s.coeffs) if c != 0}
 
 
 exact_values = st.one_of(
@@ -327,8 +238,7 @@ exact_values = st.one_of(
 def series_and_ref(draw):
     min_exp = draw(st.integers(-5, 5))
     coeffs = tuple(draw(st.lists(exact_values, max_size=7)))
-    prec = draw(st.one_of(st.none(), st.integers(min_exp - 2, min_exp + 9)))
-    return LaurentSeries(min_exp, coeffs, prec), ref_of(min_exp, coeffs, prec)
+    return LaurentSeries(min_exp, coeffs), ref_of(min_exp, coeffs)
 
 
 @given(series_and_ref(), series_and_ref())
@@ -338,8 +248,7 @@ def test_arithmetic_matches_naive_reference(x, y):
     assert as_ref(a * b) == ref_mul(ra, rb)
     assert as_ref(a + b) == ref_add(ra, rb)
     assert as_ref(a.derivative()) == ref_derivative(ra)
-    assert a.agrees_with(b) == ref_agrees(ra, rb)
-    assert a.agrees_with(a)
+    assert (a == b) == (ra == rb)
     assert str(a) == ref_str(ra)
 
 
@@ -390,19 +299,27 @@ def test_inexact_values_are_rejected(build):
 def test_oracle_rejects_a_corrupted_expansion():
     exp = expand(4)
     rng = random.Random(11)
-    u = random_polynomial(rng, 4)
+    random_u = random_polynomial(rng, 4)
     f = P([rng.randint(1, 9) for _ in range(7)])  # degree 6 > 4: no f^(s) vanishes
-    brute = apply_A_repeated(u, f, 4)
-    assert apply_expansion(exp, u, f).agrees_with(brute)
-    for s, p in exp.coeffs.items():
-        for i in range(len(p.terms)):
-            corrupted = bump_coefficient(exp, s, i)
-            assert not apply_expansion(corrupted, u, f).agrees_with(brute), (s, i)
+    for u in (random_u, series_for_rule(EXP_Z, prec=12)):
+        brute = apply_A_repeated(u, f, 4)
+        assert apply_expansion(exp, u, f) == brute
+        for s, p in exp.coeffs.items():
+            for i in range(len(p.terms)):
+                corrupted = bump_coefficient(exp, s, i)
+                assert apply_expansion(corrupted, u, f) != brute, (u, s, i)
 
 
-@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("k", range(1, 9))
 def test_oracle_with_truncated_exponential(k):
     report = oracle_check(k, u=EXP_Z, seed=k)
+    assert report.ok and report.checks == 1
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_oracle_with_mixed_exponential_rule(k):
+    u = URule({(0, 1): 2, (1, 0): 1, (-1, -1): 3})  # 2 e^z + z + 3 e^(-z) / z
+    report = oracle_check(k, u=u, seed=k)
     assert report.ok and report.checks == 1
 
 
@@ -443,25 +360,13 @@ def reference_apply_expansion(exp, u, f):
                     term = term * jet_power(j, e)
             poly = poly + term
         total = total + poly * f_der
-    if total.prec is not None and total.is_zero():
-        raise PrecisionExhausted(f"no known terms remain (prec={total.prec})")
     return total
 
 
-def expansion_outcome(evaluate, exp, u, f):
-    """The result, or PrecisionExhausted with the precision it quotes."""
-    try:
-        return evaluate(exp, u, f)
-    except PrecisionExhausted as err:
-        return PrecisionExhausted, int(re.search(r"\(prec=(-?\d+)\)$", str(err)).group(1))
-
-
 def assert_matches_reference(exp, u, f):
-    got = expansion_outcome(apply_expansion, exp, u, f)
-    want = expansion_outcome(reference_apply_expansion, exp, u, f)
-    assert got == want
-    if isinstance(got, LaurentSeries):
-        as_ref(got)
+    got = apply_expansion(exp, u, f)
+    assert got == reference_apply_expansion(exp, u, f)
+    as_ref(got)
     return got
 
 
@@ -472,38 +377,24 @@ oracle_values = st.one_of(exact_values, st.integers(-(10**40), 10**40))
 def oracle_series(draw):
     min_exp = draw(st.integers(-3, 3))
     coeffs = tuple(draw(st.lists(oracle_values, max_size=6)))
-    prec = draw(st.one_of(st.none(), st.integers(min_exp - 1, min_exp + 9)))
-    return LaurentSeries(min_exp, coeffs, prec)
+    return LaurentSeries(min_exp, coeffs)
 
 
-TRUNCATED_EXP = series_for_rule(EXP_Z, prec=9)
+TRUNCATED_EXP = P([Q(1, math.factorial(n)) for n in range(9)])  # e^z cut below z^9
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 7), oracle_series(), oracle_series())
 @example(5, TRUNCATED_EXP, P([1, 2, 3, 4, 5, 6, 7, 8]))
-@example(4, TRUNCATED_EXP, LaurentSeries.from_terms({-1: 2, 3: Q(1, 3)}, prec=6))
+@example(4, TRUNCATED_EXP, LaurentSeries.from_terms({-1: 2, 3: Q(1, 3)}))
 @example(3, LaurentSeries.zero(), P([1, 2, 3]))
 @example(3, P([1, 2]), LaurentSeries.zero())
-@example(3, LaurentSeries.zero(4), P([1, 2, 3, 4]))
-@example(1, LaurentSeries(0, (), -1), LaurentSeries.zero(5))  # exhausted at prec=3
+@example(1, LaurentSeries.zero(), LaurentSeries.zero())
 @example(6, Z(-1), P([1, Q(-2, 3), 5], min_exp=-2))
 @example(7, P([Q(1, 2), 0, Q(-3, 4)], min_exp=-1), P([Q(5, 6), 1, 0, 0, 2], min_exp=3))
 @example(7, P([10**40, -(10**40) + 1, 3]), P([3 * 10**39, 0, -7, 10**40]))
 def test_apply_expansion_matches_series_reference(k, u, f):
     assert_matches_reference(EXPANSIONS[k], u, f)
-
-
-def test_apply_expansion_reports_exhausted_precision():
-    f = LaurentSeries.from_terms({0: 1, 1: 1}, prec=2)  # 1 + z + O(z^2)
-    for evaluate in (apply_expansion, reference_apply_expansion):
-        with pytest.raises(PrecisionExhausted):
-            evaluate(EXPANSIONS[3], TRUNCATED_EXP, f)
-    # an empty u still bounds the precision the message quotes
-    u, f = LaurentSeries(0, (), -1), LaurentSeries.zero(5)  # O(z^-1), O(z^5)
-    for evaluate in (apply_expansion, reference_apply_expansion):
-        with pytest.raises(PrecisionExhausted, match=r"\(prec=3\)$"):
-            evaluate(EXPANSIONS[1], u, f)
 
 
 @pytest.mark.parametrize("k", range(1, 8))
@@ -544,10 +435,9 @@ def test_apply_expansion_on_corrupted_expansions(kind, inputs):
     u, f = inputs
     exp = corrupted_expansions(4)[kind]
     assert_matches_reference(exp, u, f)
-    report = VerificationReport(suite="oracle", k_max=4)
-    _compare_routes(report, kind, exp, u, f)
+    agree = apply_A_repeated(u, f, 4) == apply_expansion(exp, u, f)
     # a zero jet hides the extra monomial; every other corruption must show
-    assert report.ok == (kind == "jet-beyond-u")
+    assert agree == (kind == "jet-beyond-u")
 
 
 def test_apply_expansion_on_cancelling_corruption():
@@ -563,23 +453,13 @@ def test_apply_expansion_on_cancelling_corruption():
 EVALUATED = [*EXPANSIONS.values(), *corrupted_expansions(4).values()]
 
 
-def outcome(evaluate):
-    """What evaluate() returns, or the message of the PrecisionExhausted it raises."""
-    try:
-        return evaluate()
-    except PrecisionExhausted as err:
-        return str(err)
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.sampled_from(EVALUATED), max_size=6), oracle_series(), oracle_series())
 @example([EXPANSIONS[k] for k in (7, 2, 7, 1)], TRUNCATED_EXP, P([1, 2, 3, 4, 5, 6, 7, 8]))
 @example([EXPANSIONS[k] for k in (5, 3, 5)], P([Q(1, 2), 0, Q(-3, 4)], min_exp=-1), Z(4, Q(2, 3)))
-@example([EXPANSIONS[3], EXPANSIONS[1]], TRUNCATED_EXP, LaurentSeries.from_terms({0: 1, 1: 1}, prec=2))
+@example([EXPANSIONS[3], EXPANSIONS[1]], TRUNCATED_EXP, P([1, 1]))
 def test_apply_expansions_is_apply_expansion_per_power(exps, u, f):
-    together = outcome(lambda: apply_expansions(exps, u, f))
-    one_by_one = outcome(lambda: [apply_expansion(exp, u, f) for exp in exps])
-    assert together == one_by_one
+    assert apply_expansions(exps, u, f) == [apply_expansion(exp, u, f) for exp in exps]
 
 
 @settings(max_examples=100, deadline=None)
@@ -588,10 +468,5 @@ def test_chained_literal_powers_are_repeated_application(u, f):
     # the oracle's literal route: one application per power on the last result
     g = f
     for k in range(1, 8):
-        try:
-            g = apply_A_repeated(u, g, 1)
-        except PrecisionExhausted:
-            with pytest.raises(PrecisionExhausted):
-                apply_A_repeated(u, f, k)
-            return
+        g = apply_A_repeated(u, g, 1)
         assert g == apply_A_repeated(u, f, k)
