@@ -10,11 +10,56 @@ All arithmetic is exact (unbounded integers and rationals).
 ``import opow`` loads no submodule.  Each public name and each submodule
 (``opow.series``, ...) is imported on first use, through the module
 ``__getattr__`` of PEP 562, so a command pays only for the code it runs.
+The two bases of the package's record classes, ``_Record`` and the
+immutable ``_Value``, live here because this module is always loaded.
 """
 
 import importlib
 
 __version__ = "0.1.0"
+
+
+class _Record:
+    """A record whose fields are its ``__slots__``: it compares equal to
+    a record of the same class with equal fields, pickles as its class
+    and the tuple of its fields (``__init__`` takes them in slot order),
+    and its repr spells ``Name(field=value, ...)``.  Defining ``__eq__``
+    alone leaves it unhashable, as a mutable record should be."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Value(_Record):
+    """An immutable record: it hashes as the tuple of its fields, which
+    its ``__init__`` sets with ``object.__setattr__``; assigning or
+    deleting a field raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
 
 # Each public name and the submodule that defines it.
 _HOMES = {

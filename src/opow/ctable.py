@@ -37,10 +37,10 @@ meets the engine only in :func:`verify_cross_check`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable
 
+from . import _Value
 from .combinat import (
     binomial,
     compositions,
@@ -63,12 +63,17 @@ def _unit(s: int) -> ExponentVector:
     return (0,) * (s - 1) + (1,)
 
 
-@dataclass(frozen=True)
-class CTable:
+class CTable(_Value):
     """Read-only table of coefficient entries keyed (k, s, m, alpha)."""
+
+    __slots__ = ("k_max", "entries")
 
     k_max: int
     entries: dict[CKey, int]
+
+    def __init__(self, k_max: int, entries: dict[CKey, int]) -> None:
+        object.__setattr__(self, "k_max", k_max)
+        object.__setattr__(self, "entries", entries)
 
     def value(self, k: int, s: int, m: int, alpha: Iterable[int]) -> int:
         """Entry lookup; 0 for any key outside the table."""

@@ -18,10 +18,13 @@ its differential weight (sum of j * e_j) by exactly one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import zip_longest
-from numbers import Rational
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
+
+from . import _Value
+
+if TYPE_CHECKING:
+    from numbers import Rational
 
 ExponentVector = tuple[int, ...]
 
@@ -108,8 +111,7 @@ def signed_join(terms: Iterable[tuple[Rational, str]]) -> str:
     return " ".join(pieces) if pieces else "0"
 
 
-@dataclass(frozen=True)
-class DiffPolynomial:
+class DiffPolynomial(_Value):
     """Canonical sum of differential monomials.
 
     Do not call the constructor with raw data; build values through
@@ -118,7 +120,12 @@ class DiffPolynomial:
     lexicographic order).
     """
 
+    __slots__ = ("terms",)
+
     terms: tuple[DiffMonomial, ...]
+
+    def __init__(self, terms: tuple[DiffMonomial, ...]) -> None:
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def zero(cls) -> "DiffPolynomial":

@@ -22,10 +22,10 @@ block F_m from those entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, NamedTuple
 
+from . import _Value
 from .diffpoly import (
     DiffPolynomial,
     ExponentVector,
@@ -40,12 +40,17 @@ from .report import VerificationReport
 U = DiffPolynomial.u_power(1)
 
 
-@dataclass(frozen=True)
-class OperatorExpansion:
+class OperatorExpansion(_Value):
     """Coefficients of A^k in normal order: coeffs[s] multiplies (d/dz)^s."""
+
+    __slots__ = ("k", "coeffs")
 
     k: int
     coeffs: dict[int, DiffPolynomial]
+
+    def __init__(self, k: int, coeffs: dict[int, DiffPolynomial]) -> None:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def max_jet(self) -> int:

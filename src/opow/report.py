@@ -7,27 +7,33 @@ its exit status from that and nothing else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from . import _Record
 
 
-@dataclass
-class Failure:
+class Failure(_Record):
     """One failed check: where it happened and both sides, rendered exactly."""
 
-    location: str
-    expected: str
-    actual: str
+    __slots__ = ("location", "expected", "actual")
+
+    def __init__(self, location: str, expected: str, actual: str) -> None:
+        self.location = location
+        self.expected = expected
+        self.actual = actual
 
     def render(self) -> str:
         return f"FAIL {self.location}: expected {self.expected}, actual {self.actual}"
 
 
-@dataclass
-class VerificationReport:
-    suite: str
-    k_max: int
-    checks: int = 0
-    failures: list[Failure] = field(default_factory=list)
+class VerificationReport(_Record):
+    __slots__ = ("suite", "k_max", "checks", "failures")
+
+    def __init__(
+        self, suite: str, k_max: int, checks: int = 0, failures: list[Failure] | None = None
+    ) -> None:
+        self.suite = suite
+        self.k_max = k_max
+        self.checks = checks
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:

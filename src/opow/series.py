@@ -19,10 +19,14 @@ The two results are then compared with ``==``, so every coefficient
 is compared.
 :func:`apply_expansions` evaluates several powers on one (u, f) pair
 and forms the jets, derivatives, denominators and norms once for all
-of them; each power keeps its own width.  :func:`oracle_suite` takes
-each of its pairs through every power: the literal side applies A once
-more to the last power's result, the expansion side evaluates every
-power on (u, f) itself and never sees a literal result.
+of them; each power keeps its own width.  What the evaluation needs of
+the expansions alone (each power's highest jet, and each monomial's
+coefficient, jet powers and degree) is read into a plan first, and
+:func:`oracle_suite` builds that plan once for the whole suite and
+evaluates all its pairs on it.  It takes each pair through every
+power: the literal side applies A once more to the last power's
+result, the expansion side evaluates every power on (u, f) itself and
+never sees a literal result.
 
 The two sides share only ``LaurentSeries.derivative``.  A derivative
 off by a constant factor c does pass the oracle, since c * d/dz is
@@ -47,12 +51,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import add, mul, pos
 from typing import Callable, Iterable, Mapping, Sequence
 
+from . import _Value
 from .diffpoly import signed_join
 from .expansion import OperatorExpansion, expand, expansions
 from .report import VerificationReport
@@ -62,14 +66,13 @@ Exact = int | Fraction
 _INT_ONLY = frozenset({int})
 
 
-@dataclass(frozen=True)
-class LaurentSeries:
+class LaurentSeries(_Value):
+    __slots__ = ("min_exp", "coeffs")
+
     min_exp: int
     coeffs: tuple[Exact, ...]
 
-    def __post_init__(self) -> None:
-        coeffs = self.coeffs
-        min_exp = self.min_exp
+    def __init__(self, min_exp: int, coeffs: Sequence[Exact]) -> None:
         # int arithmetic stays int, so only other types need coercing
         if not _INT_ONLY.issuperset(map(type, coeffs)):
             coeffs = [_exact(c) for c in coeffs]
@@ -197,20 +200,49 @@ def _unpacked(v: int, w: int) -> list[int]:
     return digits
 
 
+# A monomial of a coefficient polynomial, read once for evaluation: its
+# coefficient, its jet powers (j, e) with e > 0, and its degree.
+_Term = tuple[int, tuple[tuple[int, int], ...], int]
+
+# One power of a plan: k, max_jet, and the monomials of each P_s.
+_Power = tuple[int, int, dict[int, list[_Term]]]
+
+
+def _plan(exps: Iterable[OperatorExpansion]) -> list[_Power]:
+    """What evaluating the expansions needs of them alone, in their order.
+
+    :func:`oracle_suite` builds it once and evaluates every (u, f) pair
+    on it.  Each monomial keeps its own degree: none is assumed.
+    """
+    return [
+        (
+            exp.k,
+            exp.max_jet,
+            {
+                s: [
+                    (c, tuple((j, e) for j, e in enumerate(vector) if e), sum(vector))
+                    for c, vector in exp.coeffs[s].terms
+                ]
+                for s in range(1, exp.k + 1)
+            },
+        )
+        for exp in exps
+    ]
+
+
 def _evaluate(
-    terms: Iterable[tuple[int, tuple[int, ...]]],
+    terms: Iterable[_Term],
     values: list[int],
     scale: Mapping[int, int],
     coeff: Callable[[int], int] = pos,
 ) -> int:
     """Sum of coeff(c) * scale[degree] * prod values[j]^e over the
-    monomials (c, exps) of one coefficient polynomial."""
+    monomials of one coefficient polynomial."""
     total = 0
-    for c, exps in terms:
-        term = coeff(c) * scale[sum(exps)]
-        for j, e in enumerate(exps):
-            if e:
-                term *= values[j] ** e
+    for c, powers, d in terms:
+        term = coeff(c) * scale[d]
+        for j, e in powers:
+            term *= values[j] ** e
         total += term
     return total
 
@@ -230,31 +262,34 @@ def apply_expansions(
     """:func:`apply_expansion` for every expansion in exps, in their order.
 
     u's jets, f's derivatives, both denominators and every l1 norm are
-    formed once for all of them.  Each power's sum is then one exact
+    formed once for all powers.  Each power's sum is then one exact
     integer evaluation at z = 2^w with its own width w (see the module
     docstring).  u and f are scaled by the lcm of their denominators;
     a monomial of degree d carries the d-th power of u's, and every
     term is brought to the highest degree present, so no degree is
     assumed.
     """
-    max_jets = [exp.max_jet for exp in exps]
+    return _apply_plan(_plan(exps), u, f)
+
+
+def _apply_plan(plan: list[_Power], u: LaurentSeries, f: LaurentSeries) -> list[LaurentSeries]:
+    """:func:`apply_expansions` on the expansions that plan was read from."""
     u_jets = [u]
-    for _ in range(max(max_jets, default=0)):
+    for _ in range(max((max_jet for _, max_jet, _ in plan), default=0)):
         u_jets.append(u_jets[-1].derivative())
     f_ders = [f]
-    for _ in range(max((exp.k for exp in exps), default=0)):
+    for _ in range(max((k for k, _, _ in plan), default=0)):
         f_ders.append(f_ders[-1].derivative())
     du, df = _denominator(u), _denominator(f)
     # l1 bound: |coefficient of pq| <= |p|_1 |q|_1
     u_norms = [_l1_norm(jet, du) for jet in u_jets]
     f_norms = [_l1_norm(der, df) for der in f_ders]
     results = []
-    for exp, max_jet in zip(exps, max_jets):
-        k = exp.k
+    for k, max_jet, polys in plan:
         jets = u_jets[: max_jet + 1]
         # an exactly zero f^(s) annihilates P_s, whatever P_s is
-        used = {s: exp.coeffs[s].terms for s in range(1, k + 1) if f_ders[s].coeffs}
-        degrees = {sum(vector) for terms in used.values() for _, vector in terms}
+        used = {s: terms for s, terms in polys.items() if f_ders[s].coeffs}
+        degrees = {d for terms in used.values() for _, _, d in terms}
         top = max(degrees, default=0)
         norm_scale = {d: du ** (top - d) for d in degrees}
         bound = sum(
@@ -340,15 +375,15 @@ def oracle_suite(k_max: int, seed: int = 0) -> VerificationReport:
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     report = VerificationReport(suite="oracle", k_max=k_max)
-    exps = list(expansions(k_max))
+    plan = _plan(expansions(k_max))
     rng = random.Random(seed)
     for trial in range(1, 51):
         u = random_polynomial(rng, 4)
         f = random_polynomial(rng, 6)
         brute = f
-        for exp, via_expansion in zip(exps, apply_expansions(exps, u, f)):
+        for (k, _, _), via_expansion in zip(plan, _apply_plan(plan, u, f)):
             brute = apply_A_repeated(u, brute, 1)
-            location = f"k={exp.k} trial={trial}"
+            location = f"k={k} trial={trial}"
             report.expect_equal(location, brute, via_expansion)
     return report
 

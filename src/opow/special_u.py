@@ -40,6 +40,8 @@ from fractions import Fraction
 from numbers import Rational
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
+from . import _Value
+
 if TYPE_CHECKING:
     from .expansion import OperatorExpansion
     from .report import VerificationReport
@@ -57,34 +59,6 @@ def _exact(c: object) -> int | Fraction:
     if not isinstance(c, Rational):
         raise TypeError(f"coefficients must be exact rationals, not {type(c).__name__}")
     return int(c) if c.denominator == 1 else Fraction(c)
-
-
-class _Value:
-    """An immutable object that compares, hashes and pickles as the tuple
-    of its ``__slots__`` fields, which its ``__init__`` sets with
-    ``object.__setattr__``."""
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __reduce__(self) -> tuple:
-        return type(self), self._fields()
 
 
 class URule(_Value):
@@ -112,9 +86,6 @@ class URule(_Value):
         if not terms:
             raise ValueError("a substitution needs a nonzero term")
         object.__setattr__(self, "terms", terms)
-
-    def __repr__(self) -> str:
-        return f"URule(terms={self.terms!r})"
 
 
 IDENTITY_Z = URule({(1, 0): 1})

@@ -3,13 +3,21 @@
 import importlib
 import json
 import os
+import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import opow
+from opow.ctable import CTable
+from opow.diffpoly import DiffPolynomial
+from opow.expansion import OperatorExpansion
+from opow.report import Failure, VerificationReport
+from opow.series import LaurentSeries
+from opow.special_u import ATable, URule
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -57,6 +65,99 @@ def test_ctable_skips_series_and_special_u():
     loaded = loaded_after(run_main("ctable", "--k-max", "4"))
     assert "opow.ctable" in loaded
     assert not loaded & {"opow.series", "opow.special_u"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--suite", "all", "--k-max", "3"),
+        ("expand", "--k", "3"),
+        ("ctable", "--k-max", "4"),
+        ("expand", "--u", "poly:-3/2,2,-1,3", "--k", "3", "--format", "json"),
+    ],
+)
+def test_no_command_loads_dataclasses(argv):
+    assert "dataclasses" not in loaded_after(run_main(*argv))
+
+
+@pytest.mark.parametrize(
+    "argv", [("expand", "--k", "3", "--format", "json"), ("ctable", "--k-max", "4")]
+)
+def test_expand_and_ctable_skip_numbers(argv):
+    loaded_after(run_main(*argv) + "\nassert 'numbers' not in sys.modules, 'numbers'")
+
+
+def test_source_never_uses_dataclasses():
+    for path in sorted((SRC / "opow").glob("*.py")):
+        assert "dataclass" not in path.read_text(), path.name
+
+
+# Each record: its class, its fields in slot order, and its repr.
+RECORDS = [
+    (
+        LaurentSeries,
+        (-1, (1, Fraction(1, 2))),
+        "LaurentSeries(min_exp=-1, coeffs=(1, Fraction(1, 2)))",
+    ),
+    (
+        DiffPolynomial,
+        (DiffPolynomial.monomial(2, (1, 1)).terms,),
+        "DiffPolynomial(terms=(DiffMonomial(coeff=2, exps=(1, 1)),))",
+    ),
+    (
+        OperatorExpansion,
+        (1, {1: DiffPolynomial.u_power(1)}),
+        "OperatorExpansion(k=1, coeffs={1: "
+        "DiffPolynomial(terms=(DiffMonomial(coeff=1, exps=(1,)),))})",
+    ),
+    (CTable, (2, {(2, 1, 1, (1,)): 1}), "CTable(k_max=2, entries={(2, 1, 1, (1,)): 1})"),
+    (
+        URule,
+        ((((0, 1), Fraction(-1, 3)), ((1, 0), 1)),),
+        "URule(terms=(((0, 1), Fraction(-1, 3)), ((1, 0), 1)))",
+    ),
+    (ATable, (1, {(1, 1): 1}), "ATable(k_max=1)"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_records_are_immutable_values(cls, fields, text):
+    slots = cls.__slots__
+    record = cls(*fields)
+    assert tuple(getattr(record, name) for name in slots) == fields
+    assert record == cls(*fields) and not record != cls(*fields)
+    twin = type(cls.__name__, (opow._Value,), {"__slots__": slots, "__init__": cls.__init__})
+    assert record != twin(*fields) and twin(*fields) != record and record != fields
+    for name in slots:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert tuple(getattr(record, name) for name in slots) == fields
+    try:
+        expected_hash = hash(fields)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == expected_hash
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is cls and copy == record
+    assert repr(record) == text
+
+
+def test_reports_are_mutable_records():
+    failure = Failure("k=1", "1", "2")
+    report = VerificationReport("oracle", 3)
+    assert repr(failure) == "Failure(location='k=1', expected='1', actual='2')"
+    assert repr(report) == "VerificationReport(suite='oracle', k_max=3, checks=0, failures=[])"
+    report.expect(False, "k=1", 1, 2)
+    assert report == VerificationReport("oracle", 3, 1, [failure])
+    assert report != VerificationReport("oracle", 3, 1, [])
+    assert pickle.loads(pickle.dumps(report)) == report
+    for record in (failure, report):
+        with pytest.raises(TypeError):
+            hash(record)
 
 
 def test_each_public_name_is_its_home_modules_object():

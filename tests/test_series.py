@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -9,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from opow import series
 from opow.diffpoly import normalize
-from opow.expansion import expand, expansions
+from opow.expansion import OperatorExpansion, expand, expansions
 from opow.series import (
     LaurentSeries,
     apply_A_repeated,
@@ -142,7 +141,7 @@ def bump_coefficient(exp, s, i):
     """exp with the i-th coefficient of its P_s raised by one."""
     p = exp.coeffs[s]
     bumped = normalize((c + (j == i), exps) for j, (c, exps) in enumerate(p.terms))
-    return replace(exp, coeffs={**exp.coeffs, s: bumped})
+    return OperatorExpansion(exp.k, {**exp.coeffs, s: bumped})
 
 
 def test_oracle_suite_fails_only_at_a_corrupted_power(monkeypatch):
@@ -409,7 +408,7 @@ def test_apply_expansion_at_its_l1_bound(k):
 
 def with_extra_terms(exp, s, extra):
     poly = normalize([*exp.coeffs[s].terms, *extra])
-    return replace(exp, coeffs={**exp.coeffs, s: poly})
+    return OperatorExpansion(exp.k, {**exp.coeffs, s: poly})
 
 
 def corrupted_expansions(k):
