@@ -26,10 +26,11 @@ All numeric output is exact: integers or rationals rendered p/q.  The
 executable lifts Python's limit on the digits of an int converted to a
 string (4300 by default), so no number is too long to print.
 
-Importing this module loads no other opow module.  Each subcommand
-imports the modules it runs when it runs (``expand --u`` loads only
-``special_u``), and the json, decimal and fractions modules load only
-where they are used, so start-up cost follows the command.
+Output is streamed: JSON is spelled here as ``json.dumps(indent=2)`` spells
+it and written one P_s, term, entry or row at a time, so memory is bounded
+by one coefficient or one row.  Importing this module loads no other opow
+module; each subcommand imports the modules it runs when it runs (``expand
+--u`` loads only ``special_u``), so start-up cost follows the command.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ import sys
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 if TYPE_CHECKING:
-    from fractions import Fraction
     from types import ModuleType
 
     from .ctable import CTable
@@ -104,14 +104,30 @@ def _check_cap(parser: argparse.ArgumentParser, name: str, value: int, low: int)
         parser.error(f"{name}={value} exceeds the cap OPOW_MAX_K={cap}")
 
 
-def _dump_json(payload: object) -> None:
-    import json
+def _json(v: object, pad: str) -> str:
+    """``v`` as ``json.dumps(indent=2)`` spells it at indentation ``pad``: an int, a
+    string needing no escape, a Fraction (``p/q`` as a string), or a list, tuple or dict."""
+    inner = pad + "  "
+    if isinstance(v, dict):
+        body = ",\n".join(f'{inner}"{key}": {_json(x, inner)}' for key, x in v.items())
+        return f"{{\n{body}\n{pad}}}" if v else "{}"
+    if isinstance(v, (list, tuple)):
+        body = ",\n".join(inner + _json(x, inner) for x in v)
+        return f"[\n{body}\n{pad}]" if v else "[]"
+    text = str(v)
+    return f'"{text}"' if isinstance(v, str) or "/" in text else text
 
-    print(json.dumps(payload, indent=2))
 
-
-def _q_json(x: Fraction) -> int | str:
-    return int(x) if x.denominator == 1 else str(x)
+def _write_json(head: dict[str, object], key: str, items: Iterable[str]) -> None:
+    """Write ``{**head, key: [...]}`` as ``print(json.dumps(..., indent=2))``
+    would, one list item at a time; each item is spelled at indentation 4."""
+    write = sys.stdout.write
+    write(_json(head, "")[:-2] + f',\n  "{key}": [')  # head without its closing "\n}"
+    sep = "\n    "
+    for item in items:
+        write(sep + item)
+        sep = ",\n    "
+    write("]\n}\n" if sep == "\n    " else "\n  ]\n}\n")
 
 
 # expand rendering -----------------------------------------------------
@@ -139,28 +155,25 @@ def _render_generic(k: int, fmt: str) -> None:
 
     exp = expand(k)
     if fmt == "json":
-        payload = {
-            "k": k,
-            "u": "generic",
-            "terms": [
-                {
-                    "s": s,
-                    "monomials": [
-                        {"coeff": c, "exps": list(e)} for c, e in exp.coeffs[s].terms
-                    ],
-                }
-                for s in range(1, k + 1)
-            ],
-        }
-        _dump_json(payload)
+        # the hot path: each monomial spelled by hand as _json would (none is empty)
+        mono = ('{{\n          "coeff": {},\n          "exps": [\n'
+                '            {}\n          ]\n        }}')
+        sep = ",\n            "  # between the exponents of one monomial
+        items = (
+            f'{{\n      "s": {s},\n      "monomials": [\n        '
+            + ",\n        ".join(mono.format(c, sep.join(map(str, e))) for c, e in p.terms)
+            + "\n      ]\n    }"
+            for s, p in sorted(exp.coeffs.items())
+        )
+        _write_json({"k": k, "u": "generic"}, "terms", items)
         return
     style = _style(fmt)
     power = style.notation.power.format
-    terms = [
-        style.group.format(exp.coeffs[s].render(style.notation)) + power(style.d, s)
-        for s in range(1, k + 1)
-    ]
-    print(power("A", k) + " = " + " + ".join(terms))
+    write = sys.stdout.write
+    for s in range(1, k + 1):
+        group = style.group.format(exp.coeffs[s].render(style.notation))
+        write((" + " if s > 1 else power("A", k) + " = ") + group + power(style.d, s))
+    write("\n")
 
 
 def _special_term(t: SpecialTerm, style: _Style) -> str:
@@ -180,14 +193,8 @@ def _render_special(k: int, u_label: str, rule: URule, fmt: str) -> None:
 
     terms = expand_specialized(k, rule)
     if fmt == "json":
-        emult = terms[0].exp_mult if terms else 0
-        payload = {
-            "k": k,
-            "u": u_label,
-            "exp_factor": emult,
-            "terms": [[_q_json(t.coeff), t.z_exp, t.d_order] for t in terms],
-        }
-        _dump_json(payload)
+        head = {"k": k, "u": u_label, "exp_factor": terms[0].exp_mult if terms else 0}
+        _write_json(head, "terms", (_json([t.coeff, t.z_exp, t.d_order], "    ") for t in terms))
         return
     from .diffpoly import signed_join
 
@@ -247,10 +254,7 @@ def _emit(fmt: str, meta: dict[str, int], fields: tuple[str, ...], rows: Iterabl
         for row in rows:
             print(",".join(";".join(map(str, v)) if isinstance(v, tuple) else str(v) for v in row))
     else:
-        entries = [
-            dict(zip(fields, (list(v) if isinstance(v, tuple) else v for v in row))) for row in rows
-        ]
-        _dump_json({**meta, "entries": entries})
+        _write_json(meta, "entries", (_json(dict(zip(fields, row)), "    ") for row in rows))
 
 
 def cmd_ctable(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
@@ -282,12 +286,8 @@ def cmd_stirling(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
         rows = ((n, m, v) for n in range(1, args.n_max + 1) for m, v in enumerate(row(n), start=1))
         _emit("csv", {}, ("n", "m", "value"), rows)
     else:
-        payload = {
-            "kind": args.kind,
-            "n_max": args.n_max,
-            "rows": [list(row(n)) for n in range(1, args.n_max + 1)],
-        }
-        _dump_json(payload)
+        head = {"kind": args.kind, "n_max": args.n_max}
+        _write_json(head, "rows", (_json(row(n), "    ") for n in range(1, args.n_max + 1)))
     return 0
 
 

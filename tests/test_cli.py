@@ -1,14 +1,18 @@
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from opow import cli, ctable, series, special_u
 from opow.cli import main
+from opow.diffpoly import LATEX, TEXT
 from opow.expansion import expand
 
 REPO = Path(__file__).resolve().parents[1]
@@ -178,14 +182,83 @@ def test_stirling_json(capsys):
 
 
 def test_json_round_trips(capsys):
-    for argv in (
+    # every JSON output is byte for byte what json.dumps(indent=2) writes
+    argvs = [
         ["ctable", "--k-max", "4", "--format", "json"],
         ["atable", "--k-max", "4", "--format", "json"],
         ["stirling", "--kind", "2", "--n-max", "5", "--format", "json"],
         ["expand", "--k", "3", "--u", "inv-z", "--format", "json"],
-    ):
+        ["ctable", "--k-max", "8", "--format", "json"],
+        ["atable", "--k-max", "8", "--format", "json"],
+        ["stirling", "--kind", "1", "--format", "json"],
+        ["stirling", "--kind", "2", "--format", "json"],
+        ["stirling", "--kind", "1", "--n-max", "1", "--format", "json"],
+    ]
+    argvs += [["expand", "--k", str(k), "--format", "json"] for k in range(1, 9)]
+    for u in ("z", "exp", "inv-z", "poly:-3/2,2,-1,3"):
+        argvs += [["expand", "--k", k, "--u", u, "--format", "json"] for k in ("1", "6")]
+    for argv in argvs:
         _, out = run_cli(capsys, *argv)
-        assert json.dumps(json.loads(out), indent=2) + "\n" == out
+        assert json.dumps(json.loads(out), indent=2) + "\n" == out, argv
+
+
+@pytest.mark.parametrize(
+    "items, plain",
+    [
+        ([], []),
+        ([[Fraction(-3, 2), Fraction(4), -1, []]], [["-3/2", 4, -1, []]]),
+        ([{"alpha": (1, 2), "value": 5, "none": {}}], [{"alpha": [1, 2], "value": 5, "none": {}}]),
+    ],
+)
+def test_json_writer_spells_what_json_dumps_writes(capsys, items, plain):
+    # no command writes an empty list or dict, so they are checked here
+    head = {"k": 2, "u": "poly:-1/2,3"}
+    cli._write_json(head, "terms", (cli._json(item, "    ") for item in items))
+    assert capsys.readouterr().out == json.dumps({**head, "terms": plain}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_expand_generic_text_and_latex_are_the_joined_coefficients(capsys, k):
+    p = expand(k).coeffs
+    text = " + ".join(f"({p[s].render(TEXT)}) D^{s}" for s in range(1, k + 1))
+    d = r"\left(\frac{d}{dz}\right)"
+    latex = " + ".join(rf"\left({p[s].render(LATEX)}\right){d}^{{{s}}}" for s in range(1, k + 1))
+    assert run_cli(capsys, "expand", "--k", str(k)) == (0, f"A^{k} = {text}\n")
+    latex_out = run_cli(capsys, "expand", "--k", str(k), "--format", "latex")
+    assert latex_out == (0, f"A^{{{k}}} = {latex}\n")
+
+
+class Discard:
+    """An output stream with only write and flush, keeping nothing."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def traced_peak(fn):
+    """The peak of the memory that tracemalloc sees allocated while fn runs."""
+    # a full collection empties the free lists, so that fn's allocations are
+    # all traced whatever ran before it
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_expand_json_holds_no_whole_output(monkeypatch, capsys):
+    # the output of expand --k 20 --format json is 0.39 MB; a writer that
+    # built it whole (or a payload tree for it) would hold it all at once
+    _, out = run_cli(capsys, "expand", "--k", "20", "--format", "json")
+    monkeypatch.setattr(sys, "stdout", Discard())
+    engine = traced_peak(lambda: expand(20))
+    command = traced_peak(lambda: main(["expand", "--k", "20", "--format", "json"]))
+    assert command - engine < len(out)
 
 
 def test_verify_suite_passes(capsys):
@@ -337,6 +410,10 @@ def read_one_line_and_close(*argv):
 
 def test_closed_pipe_exits_quietly():
     assert read_one_line_and_close("expand", "--k", "20", "--format", "json") == (b"{\n", b"", 141)
+    # 86 KB, more than the pipe and both buffers hold: the pipe is closed
+    # while opow is still writing entries
+    ctable_json = read_one_line_and_close("ctable", "--k-max", "12", "--format", "json")
+    assert ctable_json == (b"{\n", b"", 141)
 
 
 def test_verify_closed_pipe_after_the_first_report_exits_quietly():
