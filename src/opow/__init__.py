@@ -83,6 +83,7 @@ _HOMES = {
             "CTable",
             "c_table_by_recurrence",
             "c_table_from_expansions",
+            "c_table_powers",
             "verify_binomial_column",
             "verify_cross_check",
             "verify_cycle_count_total",

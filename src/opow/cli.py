@@ -28,9 +28,14 @@ string (4300 by default), so no number is too long to print.
 
 Output is streamed: JSON is spelled here as ``json.dumps(indent=2)`` spells
 it and written one P_s, term, entry or row at a time, so memory is bounded
-by one coefficient or one row.  Importing this module loads no other opow
-module; each subcommand imports the modules it runs when it runs (``expand
---u`` loads only ``special_u``), so start-up cost follows the command.
+by one coefficient or one row.  Each item is one write, flushed; the
+tables (``ctable``, ``atable``, ``stirling``) go out one power, or one
+Stirling row, per write, in CSV as in JSON, and ``ctable`` builds each
+power only when the one before it has been written; so ``opow ctable
+--k-max 30 | head`` returns at once.
+Importing this module loads no other opow module; each subcommand imports
+the modules it runs when it runs (``expand --u`` loads only
+``special_u``), so start-up cost follows the command.
 """
 
 from __future__ import annotations
@@ -120,14 +125,16 @@ def _json(v: object, pad: str) -> str:
 
 def _write_json(head: dict[str, object], key: str, items: Iterable[str]) -> None:
     """Write ``{**head, key: [...]}`` as ``print(json.dumps(..., indent=2))``
-    would, one list item at a time; each item is spelled at indentation 4."""
+    would, one list item per write, the head with the first, flushing stdout
+    after each; each item is spelled at indentation 4."""
     write = sys.stdout.write
-    write(_json(head, "")[:-2] + f',\n  "{key}": [')  # head without its closing "\n}"
-    sep = "\n    "
+    opening = _json(head, "")[:-2] + f',\n  "{key}": ['  # head without its closing "\n}"
+    sep = opening + "\n    "
     for item in items:
         write(sep + item)
+        sys.stdout.flush()
         sep = ",\n    "
-    write("]\n}\n" if sep == "\n    " else "\n  ]\n}\n")
+    write("\n  ]\n}\n" if sep == ",\n    " else opening + "]\n}\n")
 
 
 # expand rendering -----------------------------------------------------
@@ -245,25 +252,38 @@ def cmd_expand(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 # table dumps ----------------------------------------------------------
 
 
-def _emit(fmt: str, meta: dict[str, int], fields: tuple[str, ...], rows: Iterable[tuple]) -> None:
-    """Write a table.  CSV is a header line, then one line per row with a
-    tuple field joined by ';'.  JSON is ``meta`` plus "entries", one
-    object per row, with a tuple field as a list."""
+def _cell(v: object) -> str:
+    """One CSV field: a tuple joined by ';'."""
+    return ";".join(map(str, v)) if isinstance(v, tuple) else str(v)
+
+
+def _emit(
+    fmt: str, meta: dict[str, int], fields: tuple[str, ...], groups: Iterable[list[tuple]]
+) -> None:
+    """Write a table one group of rows (one power, or one Stirling row) per
+    write, flushing stdout after each.  CSV is a header line, sent with the
+    first group, then one line per row with a tuple field joined by ';'.
+    JSON is ``meta`` plus "entries", one object per row, with a tuple field
+    as a list."""
     if fmt == "csv":
-        print(",".join(fields))
-        for row in rows:
-            print(",".join(";".join(map(str, v)) if isinstance(v, tuple) else str(v) for v in row))
+        text = ",".join(fields) + "\n"
+        for rows in groups:
+            text += "".join(",".join(map(_cell, row)) + "\n" for row in rows)
+            sys.stdout.write(text)
+            sys.stdout.flush()
+            text = ""
     else:
-        _write_json(meta, "entries", (_json(dict(zip(fields, row)), "    ") for row in rows))
+        join = ",\n    ".join
+        items = (join(_json(dict(zip(fields, row)), "    ") for row in rows) for rows in groups)
+        _write_json(meta, "entries", items)
 
 
 def cmd_ctable(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _check_cap(parser, "--k-max", args.k_max, 2)
-    from .ctable import c_table_by_recurrence
+    from .ctable import c_table_powers
 
-    table = c_table_by_recurrence(args.k_max)
-    rows = ((*key, v) for key, v in table.rows())
-    _emit(args.format, {"k_max": args.k_max}, ("k", "s", "m", "alpha", "value"), rows)
+    powers = ([(*key, v) for key, v in power] for power in c_table_powers(args.k_max))
+    _emit(args.format, {"k_max": args.k_max}, ("k", "s", "m", "alpha", "value"), powers)
     return 0
 
 
@@ -272,8 +292,9 @@ def cmd_atable(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     from .special_u import a_table_by_recurrence
 
     table = a_table_by_recurrence(args.k_max)
-    rows = ((k, s, table.value(k, s)) for k in range(1, args.k_max + 1) for s in range(1, k + 1))
-    _emit(args.format, {"k_max": args.k_max}, ("k", "s", "value"), rows)
+    ks = range(1, args.k_max + 1)
+    powers = ([(k, s, table.value(k, s)) for s in range(1, k + 1)] for k in ks)
+    _emit(args.format, {"k_max": args.k_max}, ("k", "s", "value"), powers)
     return 0
 
 
@@ -282,12 +303,13 @@ def cmd_stirling(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     from .combinat import stirling1_row, stirling2_row
 
     row = stirling1_row if args.kind == 1 else stirling2_row
+    ns = range(1, args.n_max + 1)
     if args.format == "csv":
-        rows = ((n, m, v) for n in range(1, args.n_max + 1) for m, v in enumerate(row(n), start=1))
+        rows = ([(n, m, v) for m, v in enumerate(row(n), start=1)] for n in ns)
         _emit("csv", {}, ("n", "m", "value"), rows)
     else:
         head = {"kind": args.kind, "n_max": args.n_max}
-        _write_json(head, "rows", (_json(row(n), "    ") for n in range(1, args.n_max + 1)))
+        _write_json(head, "rows", (_json(row(n), "    ") for n in ns))
     return 0
 
 

@@ -6,9 +6,10 @@ independent construction routes exist:
 
 * :func:`c_table_from_expansions` reads the entries off the
   normal-ordered expansion of A^k (the defining route), and
-* :func:`c_table_by_recurrence` builds them from one recurrence that
-  never touches the expansion engine, seeded at s = 1 by the triangular
-  numbers t(t-1)/2.
+* :func:`c_table_powers` builds them from one recurrence that never
+  touches the expansion engine, seeded at s = 1 by the triangular
+  numbers t(t-1)/2, and :func:`c_table_by_recurrence` collects its
+  powers into a table.
 
 The recurrence raises the upper index s by one.  An entry at
 (k, s, m, alpha) is a sum over intermediate powers t = s..k-1, carried
@@ -26,6 +27,10 @@ C(k, s, 1, unit(s)) = C(k-1, s, 1, unit(s)) + C(k-1, s-1, 1, unit(s-1)).
 For alpha = (s,) no slot above the first is filled, leaving
 C(k, s, s, (s,)) = C(k-1, s, s, (s,)) + (k-s) * C(k-1, s-1, s-1, (s-1,)).
 
+Every term reads power k-1 alone, so the walk is over k: power k is
+built from the previous power, the only one held, and is final as soon
+as it is built.  ``opow ctable`` writes each power as it comes.
+
 The verifiers at the bottom check a table against independent
 combinatorial references: binomial coefficients on the m = 1 column,
 second-kind Stirling numbers on the m = s corner, first-kind Stirling
@@ -37,8 +42,8 @@ meets the engine only in :func:`verify_cross_check`.
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Callable, Iterable
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator
 
 from . import _Value
 from .combinat import (
@@ -79,50 +84,66 @@ class CTable(_Value):
         """Entry lookup; 0 for any key outside the table."""
         return self.entries.get((k, s, m, trim(alpha)), 0)
 
-    def rows(self) -> list[tuple[CKey, int]]:
-        return sorted(self.entries.items())
+
+def _shapes(s: int) -> list[tuple]:
+    """Each (s, m, alpha) of upper index s >= 2 in key order, with m and its
+    sources at upper index s - 1: the alpha - e1 source, then one (weight,
+    source) pair per unit of weight moved from slot j+1 down to slot j."""
+    shapes = []
+    for m in range(1, s + 1):
+        for alpha in compositions(s, m):
+            drop = (s - 1, m - 1, trim((alpha[0] - 1,) + alpha[1:])) if alpha[0] else None
+            moves = []
+            for j in range(1, s):
+                if alpha[j]:
+                    shifted = list(alpha)
+                    shifted[j - 1] += 1
+                    shifted[j] -= 1
+                    moves.append((shifted[j - 1], (s - 1, m, trim(shifted))))
+            shapes.append(((s, m, trim(alpha)), m, drop, moves))
+    return shapes
 
 
-def c_table_by_recurrence(k_max: int) -> CTable:
-    """Build the table for all k <= k_max from the one running-sum recurrence.
+def c_table_powers(k_max: int) -> Iterator[list[tuple[CKey, int]]]:
+    """Yield the entries of each power k = 2..k_max in turn, as one list of
+    ((k, s, m, alpha), value) pairs in key order, built by the one
+    running-sum recurrence.
 
-    Raises ArithmeticError if some required (k, s, m, alpha) is reached
-    by no term of the recurrence (it would come out non-positive); every
-    key must receive a positive value.
+    Power k reads power k-1 alone, so only that power is held, keyed
+    (s, m, alpha).  The shapes at upper index s = k-1 are built the first
+    time power k needs them.  Raises ValueError (on the first ``next``)
+    for k_max < 2, and ArithmeticError if some required key is reached by
+    no term of the recurrence (it would come out non-positive); every key
+    must receive a positive value.
     """
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
-    entries: dict[CKey, int] = {}
-    for t in range(2, k_max + 1):
-        entries[(t, 1, 1, (1,))] = t * (t - 1) // 2
-    for s in range(2, k_max):
-        # each shape with its sources at upper index s - 1: the alpha - e1
-        # source, then one (weight, source) pair per unit of weight moved
-        # from slot j+1 down to slot j
-        shapes = []
-        for m in range(1, s + 1):
-            for alpha in compositions(s, m):
-                drop = trim((alpha[0] - 1,) + alpha[1:]) if alpha[0] else None
-                moves = []
-                for j in range(1, s):
-                    if alpha[j]:
-                        shifted = list(alpha)
-                        shifted[j - 1] += 1
-                        shifted[j] -= 1
-                        moves.append((shifted[j - 1], trim(shifted)))
-                shapes.append((m, trim(alpha), drop, moves))
-        for k in range(s + 1, k_max + 1):
-            for m, alpha, drop, moves in shapes:
-                key = (k, s, m, alpha)
-                val = entries.get((k - 1, s, m, alpha), 0)
-                if drop is not None:
-                    val += (k - m) * entries.get((k - 1, s - 1, m - 1, drop), 0)
-                for weight, src in moves:
-                    val += weight * entries.get((k - 1, s - 1, m, src), 0)
-                if val <= 0:
-                    raise ArithmeticError(f"no recurrence reaches entry {key}")
-                entries[key] = val
-    return CTable(k_max, entries)
+    shapes: list[tuple] = []  # s = 2..k-1, in key order
+    prev: dict[tuple[int, int, ExponentVector], int] = {}
+    for k in range(2, k_max + 1):
+        if k > 2:
+            shapes += _shapes(k - 1)
+        power = {(1, 1, (1,)): k * (k - 1) // 2}
+        for key, m, drop, moves in shapes:
+            val = prev.get(key, 0)
+            if drop is not None:
+                val += (k - m) * prev.get(drop, 0)
+            for weight, src in moves:
+                val += weight * prev.get(src, 0)
+            if val <= 0:
+                raise ArithmeticError(f"no recurrence reaches entry {(k, *key)}")
+            power[key] = val
+        prev = power
+        yield [((k, *key), val) for key, val in power.items()]
+
+
+def c_table_by_recurrence(k_max: int) -> CTable:
+    """Build the table for all k <= k_max from :func:`c_table_powers`.
+
+    Raises ValueError for k_max < 2 and ArithmeticError as
+    :func:`c_table_powers` does.
+    """
+    return CTable(k_max, dict(chain.from_iterable(c_table_powers(k_max))))
 
 
 def c_table_from_expansions(k_max: int) -> CTable:

@@ -1,16 +1,18 @@
 import gc
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from opow import cli, ctable, series, special_u
+from opow import cli, combinat, ctable, series, special_u
 from opow.cli import main
 from opow.diffpoly import LATEX, TEXT
 from opow.expansion import expand
@@ -153,6 +155,87 @@ def test_ctable_csv(capsys):
     assert "3,2,1,0;1,1" in lines
     assert "3,2,2,2,1" in lines
     assert "4,2,2,2,7" in lines
+
+
+@pytest.mark.parametrize("k_max", range(2, 15))
+def test_ctable_prints_the_extraction_table(capsys, k_max):
+    # the streamed recurrence against the other route, spelled here
+    rows = sorted(ctable.c_table_from_expansions(k_max).entries.items())
+    csv = "".join(f"{k},{s},{m},{';'.join(map(str, a))},{v}\n" for (k, s, m, a), v in rows)
+    assert run_cli(capsys, "ctable", "--k-max", str(k_max)) == (0, "k,s,m,alpha,value\n" + csv)
+    entries = [dict(k=k, s=s, m=m, alpha=list(a), value=v) for (k, s, m, a), v in rows]
+    doc = json.dumps({"k_max": k_max, "entries": entries}, indent=2) + "\n"
+    assert run_cli(capsys, "ctable", "--k-max", str(k_max), "--format", "json") == (0, doc)
+
+
+@pytest.mark.parametrize(
+    "fmt, sha256",
+    [
+        ("csv", "5b29e7c387af1755de9042aac9bab5c7daca30cbf45a4556339e78af7856dd25"),
+        ("json", "b51dfb553992d200fbfb6ed6a943323f847ee92e83b4fa363945b2fa09f75829"),
+    ],
+)
+def test_ctable_k_max_20_is_byte_for_byte_the_pinned_output(capsys, fmt, sha256):
+    code, out = run_cli(capsys, "ctable", "--k-max", "20", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_atable_and_stirling_print_what_json_and_csv_spell(capsys):
+    table = [[(k, s, special_u.a_closed_form(k, s)) for s in range(1, k + 1)] for k in range(1, 16)]
+    csv = "".join(f"{k},{s},{v}\n" for row in table for k, s, v in row)
+    assert run_cli(capsys, "atable", "--k-max", "15") == (0, "k,s,value\n" + csv)
+    entries = [dict(k=k, s=s, value=v) for row in table for k, s, v in row]
+    doc = json.dumps({"k_max": 15, "entries": entries}, indent=2) + "\n"
+    assert run_cli(capsys, "atable", "--k-max", "15", "--format", "json") == (0, doc)
+    for kind, value in ((1, combinat.stirling1_unsigned), (2, combinat.stirling2)):
+        rows = [[value(n, m) for m in range(1, n + 1)] for n in range(1, 11)]
+        numbered = ((n, m, v) for n, row in enumerate(rows, 1) for m, v in enumerate(row, 1))
+        csv = "".join(f"{n},{m},{v}\n" for n, m, v in numbered)
+        argv = ("stirling", "--kind", str(kind))
+        assert run_cli(capsys, *argv) == (0, "n,m,value\n" + csv)
+        doc = json.dumps({"kind": kind, "n_max": 10, "rows": rows}, indent=2) + "\n"
+        assert run_cli(capsys, *argv, "--format", "json") == (0, doc)
+
+
+class WriteRecorder:
+    """An output stream that logs each write and each flush, in order."""
+
+    def __init__(self):
+        self.log = []
+
+    def write(self, text):
+        self.log.append(text)
+        return len(text)
+
+    def flush(self):
+        self.log.append(None)
+
+
+def test_ctable_writes_one_power_per_write_and_flushes_it(monkeypatch):
+    out = WriteRecorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["ctable", "--k-max", "12"]) == 0
+    writes = out.log[::2]
+    assert len(out.log) == 2 * 11
+    assert out.log[1::2] == [None] * 11
+    assert writes[0] == "k,s,m,alpha,value\n2,1,1,1,1\n"
+    for k, text in enumerate(writes[1:], start=3):
+        assert {line.split(",")[0] for line in text.splitlines()} == {str(k)}
+
+
+def test_table_json_writes_one_power_or_row_per_write(monkeypatch):
+    out = WriteRecorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["ctable", "--k-max", "12", "--format", "json"]) == 0
+    # the head with the k = 2 entry, one write per later power, then the close
+    assert out.log[1::2] == [None] * 11
+    assert out.log[0].startswith('{\n  "k_max": 12,\n  "entries": [\n    {\n      "k": 2,')
+    assert out.log[-1] == "\n  ]\n}\n" and len(out.log) == 23
+    for argv, groups in ((["atable", "--k-max", "6"], 6), (["stirling", "--kind", "1"], 10)):
+        out.log.clear()
+        assert main([*argv, "--format", "json"]) == 0
+        assert out.log[1::2] == [None] * groups and len(out.log) == 2 * groups + 1
 
 
 def test_atable_csv(capsys):
@@ -398,13 +481,21 @@ def opow_executable(*argv, **env):
     )
 
 
-def read_one_line_and_close(*argv):
+def read_one_line_and_close(*argv, timeout=120):
     """The first line opow writes, then its stderr and exit code once the
-    pipe was closed after that line."""
+    pipe was closed after that line.  A child still running ``timeout``
+    seconds after its start is killed, and its exit code reads -9."""
     proc = opow_executable(*argv)
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=120)
+    killer = threading.Timer(timeout, proc.kill)
+    killer.start()
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate()
+    finally:
+        killer.cancel()
+        proc.kill()  # a no-op once the child has been reaped
+        proc.wait()
     return first, err, proc.returncode
 
 
@@ -414,6 +505,14 @@ def test_closed_pipe_exits_quietly():
     # while opow is still writing entries
     ctable_json = read_one_line_and_close("ctable", "--k-max", "12", "--format", "json")
     assert ctable_json == (b"{\n", b"", 141)
+
+
+def test_closed_pipe_ends_a_long_table_early():
+    # the whole table at k_max = 30 takes about 18 s; its header and first
+    # power are written as soon as that power is built, and the closed
+    # pipe then ends the run
+    got = read_one_line_and_close("ctable", "--k-max", "30", timeout=10)
+    assert got == (b"k,s,m,alpha,value\n", b"", 141)
 
 
 def test_verify_closed_pipe_after_the_first_report_exits_quietly():

@@ -1,8 +1,10 @@
 import pytest
 
+from opow import ctable
 from opow.ctable import (
     c_table_by_recurrence,
     c_table_from_expansions,
+    c_table_powers,
     verify_binomial_column,
     verify_cross_check,
     verify_cycle_count_total,
@@ -17,6 +19,8 @@ def test_rejects_small_k_max():
         c_table_by_recurrence(1)
     with pytest.raises(ValueError):
         c_table_from_expansions(0)
+    with pytest.raises(ValueError):
+        next(c_table_powers(1))
 
 
 def test_seed_and_small_entries():
@@ -48,9 +52,34 @@ def test_key_constraints_and_positivity():
         assert sum(i * a for i, a in enumerate(alpha, 1)) == s
 
 
-def test_rows_are_sorted():
-    rows = c_table_by_recurrence(5).rows()
-    assert rows == sorted(rows)
+@pytest.mark.parametrize("k_max", range(2, 13))
+def test_powers_concatenate_to_the_sorted_table(k_max):
+    powers = list(c_table_powers(k_max))
+    assert [entry for power in powers for entry in power] == sorted(
+        c_table_by_recurrence(k_max).entries.items()
+    )
+    assert [{k for (k, *_), _v in power} for power in powers] == [
+        {k} for k in range(2, k_max + 1)
+    ]
+
+
+def test_powers_build_each_upper_index_only_when_needed(monkeypatch):
+    # power k reads upper indices s <= k - 1 only, so taking it must not
+    # enumerate the shapes of any larger s
+    seen = []
+    real = ctable.compositions
+
+    def recording(s, m):
+        seen.append(s)
+        return real(s, m)
+
+    monkeypatch.setattr(ctable, "compositions", recording)
+    powers = c_table_powers(30)
+    next(powers)
+    assert max(seen, default=0) <= 2
+    for k in range(3, 13):
+        next(powers)
+        assert max(seen) == k - 1
 
 
 def test_verify_cross_check():
