@@ -27,9 +27,9 @@ print("blocks of A^5 at derivative order 2 (table index s = 3):")
 for m in range(1, 4):
     print(f"  m={m}: {extract_F(exp5, m=m, s=3)}")
 
-# Every monomial carries one integer table entry, keyed by the exponent
-# tuple alpha of the derivative factors.
+# Every monomial carries one integer table entry, keyed (k, s, m, alpha)
+# with alpha the exponent tuple of the derivative factors.
 print()
 print("all table entries of A^4:")
-for entry in extract_C(expand(4)):
-    print(f"  C(s={entry.s}, m={entry.m}, k={entry.k}) alpha={entry.alpha} -> {entry.value}")
+for (k, s, m, alpha), value in extract_C(expand(4)):
+    print(f"  C(s={s}, m={m}, k={k}) alpha={alpha} -> {value}")

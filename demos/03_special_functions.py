@@ -38,13 +38,14 @@ for k in range(1, 6):
     rendered = " + ".join(f"({t.coeff}) z^{t.z_exp} D^{t.d_order}" for t in terms)
     print(f"  (z^-1 d/dz)^{k} = {rendered}")
 
-# The signed 1/z coefficients come out of a two-term recurrence and a
-# closed form; both match the specialized expansion above.
+# The signed 1/z coefficients come out of a two-term recurrence, as a
+# dict keyed (k, s), and a closed form; both match the specialized
+# expansion above.
 print()
 table = a_table_by_recurrence(8)
 print("signed 1/z table rows (recurrence route), with the closed form in brackets:")
 for k in range(1, 9):
-    row = [table.value(k, s) for s in range(1, k + 1)]
+    row = [table[k, s] for s in range(1, k + 1)]
     closed = [a_closed_form(k, s) for s in range(1, k + 1)]
     print(f"  k={k}: {row} [{closed}]")
 

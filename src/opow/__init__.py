@@ -108,7 +108,6 @@ _HOMES = {
     ),
     **dict.fromkeys(
         (
-            "CEntry",
             "OperatorExpansion",
             "check_closed_forms",
             "expand",
@@ -126,7 +125,6 @@ _HOMES = {
             "LaurentSeries",
             "apply_A_repeated",
             "apply_expansion",
-            "apply_expansions",
             "eigenfunction_report",
             "oracle_check",
             "oracle_suite",
@@ -140,7 +138,6 @@ _HOMES = {
             "EXP_Z",
             "IDENTITY_Z",
             "INVERSE_Z",
-            "ATable",
             "SpecialTerm",
             "URule",
             "a_closed_form",

@@ -14,13 +14,14 @@ Subcommands of the ``opow`` executable:
                 report as soon as its suite ends
 
 Exit codes: 0 all checks pass / output produced, 1 a verification
-failed, 2 usage error, 141 the reader closed the output pipe early (the
-code a shell reports for a writer killed by SIGPIPE).  The environment
-variable OPOW_MAX_K (default 40 when unset or empty; any other value
-must be ASCII decimal digits with a value >= 1) caps every k-like
-argument to guard against accidental huge jobs; note that the number of
-table entries per power grows like the integer partition function, so
-large k_max values get expensive quickly.
+failed, 2 usage error, 74 the output could not be written (EX_IOERR of
+sysexits.h: a full disk, say), 141 the reader closed the output pipe
+early (the code a shell reports for a writer killed by SIGPIPE).  The
+environment variable OPOW_MAX_K (default 40 when unset or empty; any
+other value must be ASCII decimal digits with a value >= 1) caps every
+k-like argument to guard against accidental huge jobs; note that the
+number of table entries per power grows like the integer partition
+function, so large k_max values get expensive quickly.
 
 All numeric output is exact: integers or rationals rendered p/q.  The
 executable lifts Python's limit on the digits of an int converted to a
@@ -293,7 +294,7 @@ def cmd_atable(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
     table = a_table_by_recurrence(args.k_max)
     ks = range(1, args.k_max + 1)
-    powers = ([(k, s, table.value(k, s)) for s in range(1, k + 1)] for k in ks)
+    powers = ([(k, s, table[k, s]) for s in range(1, k + 1)] for k in ks)
     _emit(args.format, {"k_max": args.k_max}, ("k", "s", "value"), powers)
     return 0
 
@@ -389,19 +390,23 @@ def run() -> None:
     """Entry point of the ``opow`` executable and of ``python -m opow``.
 
     A reader that closes the pipe early (``opow ctable | head -1``) ends
-    the run with exit code 141 and no traceback.  Python's limit on the
-    digits of an int rendered as a string is lifted, so output stays exact
-    at every size.
+    the run with exit code 141 and no traceback; any other error writing
+    the output (``opow verify > /dev/full``) ends it with one stderr line
+    and exit code 74.  Python's limit on the digits of an int rendered as
+    a string is lifted, so output stays exact at every size.
     """
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
+    except OSError as err:
         # As the signal module docs advise for SIGPIPE: point stdout at
         # devnull so that the flush at interpreter exit cannot raise again.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
-        sys.exit(141)  # 128 + SIGPIPE
+        if isinstance(err, BrokenPipeError):
+            sys.exit(141)  # 128 + SIGPIPE
+        print(f"opow: cannot write output: {err}", file=sys.stderr)
+        sys.exit(74)  # EX_IOERR of sysexits.h
     sys.exit(code)

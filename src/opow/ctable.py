@@ -55,12 +55,10 @@ from .combinat import (
     stirling2,
 )
 from .diffpoly import ExponentVector, trim
-from .expansion import expansions, extract_C
+from .expansion import CKey, expansions, extract_C
 from .report import VerificationReport
 
 import math
-
-CKey = tuple[int, int, int, ExponentVector]
 
 
 def _unit(s: int) -> ExponentVector:
@@ -152,8 +150,7 @@ def c_table_from_expansions(k_max: int) -> CTable:
         raise ValueError("k_max must be >= 2")
     entries: dict[CKey, int] = {}
     for exp in islice(expansions(k_max), 1, None):
-        for e in extract_C(exp):
-            entries[(e.k, e.s, e.m, e.alpha)] = e.value
+        entries.update(extract_C(exp))
     return CTable(k_max, entries)
 
 

@@ -145,11 +145,6 @@ class DiffPolynomial(_Value):
             raise ValueError("u_power needs n >= 0")
         return cls.monomial(1, (n,))
 
-    @classmethod
-    def jet(cls, j: int, e: int = 1) -> "DiffPolynomial":
-        """The monomial (u^(j))^e."""
-        return cls.monomial(1, (0,) * j + (e,))
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -158,11 +153,9 @@ class DiffPolynomial(_Value):
             return self if self.terms else other
         return normalize(self.terms + other.terms)
 
-    def __mul__(self, other: "DiffPolynomial | int") -> "DiffPolynomial":
-        if isinstance(other, int):
-            if other == 0:
-                return DiffPolynomial.zero()
-            return DiffPolynomial(tuple(DiffMonomial(c * other, e) for c, e in self.terms))
+    def __mul__(self, other: "DiffPolynomial") -> "DiffPolynomial":
+        if not isinstance(other, DiffPolynomial):
+            return NotImplemented
         out = []
         for ca, ea in self.terms:
             for cb, eb in other.terms:

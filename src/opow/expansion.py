@@ -15,15 +15,15 @@ the inner coefficient blocks: the s-th-from-the-top coefficient splits
 into slices u^(k-m) * F_m, where F_m collects the monomials free of u
 whose exponent tuple alpha satisfies sum(alpha) = m and
 sum(i * alpha_i) = s.  The integers attached to those monomials are the
-table entries served by :func:`extract_C`, the one place that reads
-them off and checks the invariant; :func:`extract_F` reassembles a
-block F_m from those entries.
+table entries served by :func:`extract_C` as ((k, s, m, alpha), value)
+pairs, the one place that reads them off and checks the invariant;
+:func:`extract_F` reassembles a block F_m from those pairs.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from . import _Value
 from .diffpoly import (
@@ -38,6 +38,9 @@ from .diffpoly import (
 from .report import VerificationReport
 
 U = DiffPolynomial.u_power(1)
+
+# The key (k, s, m, alpha) of one coefficient-table entry.
+CKey = tuple[int, int, int, ExponentVector]
 
 
 class OperatorExpansion(_Value):
@@ -58,16 +61,6 @@ class OperatorExpansion(_Value):
         monomials themselves rather than from the degree/weight invariant."""
         jets = (len(mono.exps) - 1 for p in self.coeffs.values() for mono in p.terms)
         return max(jets, default=0)
-
-
-class CEntry(NamedTuple):
-    """One extracted coefficient: C at (s, m, k) for the exponent tuple alpha."""
-
-    k: int
-    s: int
-    m: int
-    alpha: ExponentVector
-    value: int
 
 
 def expansions(k_max: int) -> Iterator[OperatorExpansion]:
@@ -113,11 +106,13 @@ def extract_F(exp: OperatorExpansion, m: int, s: int) -> DiffPolynomial:
     k = exp.k
     if not 1 <= m <= s <= k - 1:
         raise ValueError(f"need 1 <= m <= s <= k-1, got m={m} s={s} k={k}")
-    return normalize([(e.value, (0, *e.alpha)) for e in extract_C(exp) if (e.s, e.m) == (s, m)])
+    return normalize([(v, (0, *key[3])) for key, v in extract_C(exp) if key[1:3] == (s, m)])
 
 
-def extract_C(exp: OperatorExpansion) -> list[CEntry]:
-    """All coefficient entries of the expansion, sorted by (k, s, m, alpha).
+def extract_C(exp: OperatorExpansion) -> list[tuple[CKey, int]]:
+    """All coefficient entries of the expansion as ((k, s, m, alpha), value)
+    pairs sorted by key: the list ``ctable.c_table_powers`` yields for
+    power k.
 
     Every monomial of coeffs[j] for j < k yields one entry with
     s = k - j and m = k - (u-exponent).  Monomials that violate the
@@ -136,9 +131,8 @@ def extract_C(exp: OperatorExpansion) -> list[CEntry]:
                     f"invariant violation in coeffs[{j}] of A^{k}: monomial {mono}"
                 )
             u_exp, *alpha = mono.exps
-            entries.append(CEntry(k, s, k - u_exp, trim(alpha), mono.coeff))
-    entries.sort(key=lambda e: (e.k, e.s, e.m, e.alpha))
-    return entries
+            entries.append(((k, s, k - u_exp, trim(alpha)), mono.coeff))
+    return sorted(entries)
 
 
 def _check_one(report: VerificationReport, exp: OperatorExpansion) -> None:

@@ -17,13 +17,13 @@ comes from an l1 bound on every coefficient of the result
 (|pq|_1 <= |p|_1 |q|_1), so the digits are exactly its coefficients.
 The two results are then compared with ``==``, so every coefficient
 is compared.
-:func:`apply_expansions` evaluates several powers on one (u, f) pair
-and forms the jets, derivatives, denominators and norms once for all
-of them; each power keeps its own width.  What the evaluation needs of
-the expansions alone (each power's highest jet, and each monomial's
-coefficient, jet powers and degree) is read into a plan first, and
-:func:`oracle_suite` builds that plan once for the whole suite and
-evaluates all its pairs on it.  It takes each pair through every
+What the evaluation needs of the expansions alone (each power's highest
+jet, and each monomial's coefficient, jet powers and degree) is read
+into a plan first.  :func:`_apply_plan` evaluates every power of a plan
+on one (u, f) pair and forms the jets, derivatives, denominators and
+norms once for all of them; each power keeps its own width.
+:func:`oracle_suite` builds one plan for the whole suite and evaluates
+all its pairs on it.  It takes each pair through every
 power: the literal side applies A once more to the last power's
 result, the expansion side evaluates every power on (u, f) itself and
 never sees a literal result.
@@ -252,14 +252,13 @@ def apply_expansion(
 ) -> LaurentSeries:
     """Evaluate the normal-ordered form of A^k on f: substitute series
     for u and its derivatives in each coefficient polynomial, multiply
-    by the matching derivative of f, and sum (see :func:`apply_expansions`)."""
-    return apply_expansions((exp,), u, f)[0]
+    by the matching derivative of f, and sum (see :func:`_apply_plan`)."""
+    return _apply_plan(_plan((exp,)), u, f)[0]
 
 
-def apply_expansions(
-    exps: Sequence[OperatorExpansion], u: LaurentSeries, f: LaurentSeries
-) -> list[LaurentSeries]:
-    """:func:`apply_expansion` for every expansion in exps, in their order.
+def _apply_plan(plan: list[_Power], u: LaurentSeries, f: LaurentSeries) -> list[LaurentSeries]:
+    """:func:`apply_expansion` for every expansion that plan was read
+    from, in their order.
 
     u's jets, f's derivatives, both denominators and every l1 norm are
     formed once for all powers.  Each power's sum is then one exact
@@ -269,11 +268,6 @@ def apply_expansions(
     term is brought to the highest degree present, so no degree is
     assumed.
     """
-    return _apply_plan(_plan(exps), u, f)
-
-
-def _apply_plan(plan: list[_Power], u: LaurentSeries, f: LaurentSeries) -> list[LaurentSeries]:
-    """:func:`apply_expansions` on the expansions that plan was read from."""
     u_jets = [u]
     for _ in range(max((max_jet for _, max_jet, _ in plan), default=0)):
         u_jets.append(u_jets[-1].derivative())

@@ -24,12 +24,13 @@ the reference that verifies the direct route.
 
 For u = 1/z the whole power collapses to one signed integer per
 derivative order: A^k = sum_s a(k, s) z^(s - 2k) (d/dz)^s.  Those
-integers have their own two-term recurrence and a closed form in
-double factorials and binomials; :func:`verify_inverse_z_table` checks
-recurrence, closed form and the specialized expansion against each
-other, and :func:`verify_specializations` checks u = z against
-second-kind Stirling numbers, u = e^z against unsigned first-kind
-Stirling numbers, and u = 1/z against the same closed form.
+integers have their own two-term recurrence (:func:`a_table_by_recurrence`,
+a dict keyed (k, s)) and a closed form in double factorials and
+binomials; :func:`verify_inverse_z_table` checks recurrence, closed form
+and the specialized expansion against each other, and
+:func:`verify_specializations` checks u = z against second-kind
+Stirling numbers, u = e^z against unsigned first-kind Stirling numbers,
+and u = 1/z against the same closed form.
 """
 
 from __future__ import annotations
@@ -232,31 +233,9 @@ def expand_specialized(k: int, rule: URule) -> tuple[SpecialTerm, ...]:
     )
 
 
-class ATable(_Value):
-    """Signed coefficients of (z^-1 d/dz)^k: entry (k, s) multiplies
-    z^(s-2k) (d/dz)^s, for 1 <= s <= k <= k_max.  Its repr omits the
-    entries."""
-
-    __slots__ = ("k_max", "entries")
-
-    k_max: int
-    entries: dict[tuple[int, int], int]
-
-    def __init__(self, k_max: int, entries: dict[tuple[int, int], int]) -> None:
-        object.__setattr__(self, "k_max", k_max)
-        object.__setattr__(self, "entries", entries)
-
-    def __repr__(self) -> str:
-        return f"ATable(k_max={self.k_max!r})"
-
-    def value(self, k: int, s: int) -> int:
-        if not 1 <= s <= k <= self.k_max:
-            raise ValueError(f"entry ({k}, {s}) outside table range")
-        return self.entries[(k, s)]
-
-
-def a_table_by_recurrence(k_max: int) -> ATable:
-    """Build the signed table from its two-term recurrence.
+def a_table_by_recurrence(k_max: int) -> dict[tuple[int, int], int]:
+    """The signed coefficients of (z^-1 d/dz)^k for k <= k_max, keyed
+    (k, s): entry (k, s) multiplies z^(s-2k) (d/dz)^s, 1 <= s <= k.
 
     Starting at the single entry 1 for k = 1, one more power of
     z^-1 d/dz updates the row by  new(s) = old(s-1) - (2k-s) old(s)
@@ -270,7 +249,7 @@ def a_table_by_recurrence(k_max: int) -> ATable:
         old = [0, *row, 0]
         row = [old[s - 1] - (2 * k - s) * old[s] for s in range(1, k + 2)]
         entries.update(((k + 1, s), v) for s, v in enumerate(row, start=1))
-    return ATable(k_max, entries)
+    return entries
 
 
 def a_closed_form(k: int, s: int) -> int:
@@ -313,7 +292,7 @@ def verify_inverse_z_table(k_max: int) -> VerificationReport:
         k = exp.k
         coeffs = _inverse_z_coeffs(exp)
         for s in range(1, k + 1):
-            rec = table.value(k, s)
+            rec = table[k, s]
             loc = f"k={k} s={s}"
             report.expect_equal(f"{loc} recurrence vs closed form", rec, a_closed_form(k, s))
             report.expect_equal(f"{loc} recurrence vs specialization", rec, coeffs.get(s))

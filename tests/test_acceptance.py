@@ -139,7 +139,7 @@ def test_specializations_at_the_default_cap():
     rows = {
         IDENTITY_Z: lambda s: SpecialTerm(Fraction(stirling2(k, s)), s, 0, s),
         EXP_Z: lambda s: SpecialTerm(Fraction(stirling1_unsigned(k, s)), 0, k, s),
-        INVERSE_Z: lambda s: SpecialTerm(Fraction(inverse.value(k, s)), s - 2 * k, 0, s),
+        INVERSE_Z: lambda s: SpecialTerm(Fraction(inverse[k, s]), s - 2 * k, 0, s),
     }
     ok = all(
         expand_specialized(k, rule) == tuple(map(row, range(1, k + 1)))

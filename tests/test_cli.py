@@ -524,6 +524,31 @@ def test_verify_closed_pipe_after_the_first_report_exits_quietly():
     assert (err, code) == (b"", 141)
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--k-max", "3"),
+        ("ctable", "--k-max", "4"),
+        ("expand", "--k", "3", "--format", "json"),
+    ],
+)
+def test_write_error_exits_74_with_one_line(argv):
+    # 74 is EX_IOERR: a write that fails for any reason but a closed pipe
+    # is neither a failed verification (1) nor a traceback
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "opow", *argv],
+            cwd=REPO,
+            env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+            stdout=full,
+            stderr=subprocess.PIPE,
+            timeout=120,
+        )
+    err = "opow: cannot write output: [Errno 28] No space left on device\n"
+    assert (proc.returncode, proc.stderr.decode()) == (74, err)
+
+
 class FlushRecorder(io.StringIO):
     """A text stream that remembers what it held at its last flush."""
 

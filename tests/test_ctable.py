@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 
 from opow import ctable
@@ -12,6 +14,7 @@ from opow.ctable import (
     verify_stirling1_total,
     verify_stirling2_corner,
 )
+from opow.expansion import expansions, extract_C
 
 
 def test_rejects_small_k_max():
@@ -41,6 +44,13 @@ def test_both_routes_agree_entry_for_entry():
     rec = c_table_by_recurrence(16)
     ext = c_table_from_expansions(16)
     assert rec.entries == ext.entries
+
+
+def test_both_routes_yield_each_power_alike():
+    # power by power and in order, not only as whole tables
+    powers = c_table_powers(12)
+    for exp, power in zip(islice(expansions(12), 1, None), powers, strict=True):
+        assert extract_C(exp) == power, exp.k
 
 
 def test_key_constraints_and_positivity():

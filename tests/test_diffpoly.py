@@ -11,9 +11,20 @@ from opow.diffpoly import (
     weight,
 )
 
+
+def jet(j, e=1):
+    """The monomial (u^(j))^e."""
+    return DiffPolynomial.monomial(1, (0,) * j + (e,))
+
+
+def const(c):
+    """The constant polynomial c."""
+    return DiffPolynomial.monomial(c, ())
+
+
 U = DiffPolynomial.u_power(1)
-U1 = DiffPolynomial.jet(1)  # u'
-U2 = DiffPolynomial.jet(2)  # u''
+U1 = jet(1)  # u'
+U2 = jet(2)  # u''
 
 
 def test_trim_and_measures():
@@ -45,7 +56,7 @@ def test_normalize_graded_lex_order():
 
 def test_add_identity_and_like_terms():
     assert U + DiffPolynomial.zero() == U
-    assert U * U1 + 2 * (U * U1) == 3 * (U * U1)
+    assert U * U1 + const(2) * (U * U1) == const(3) * (U * U1)
     s = U * U1 * U1 + U * U * U2
     assert [m.exps for m in s.terms] == [(1, 2), (2, 0, 1)]
 
@@ -60,23 +71,31 @@ def test_mul_examples():
 
 
 def test_total_derivative_examples():
-    assert total_derivative(DiffPolynomial.u_power(2)) == 2 * (U * U1)
+    assert total_derivative(DiffPolynomial.u_power(2)) == const(2) * (U * U1)
     assert total_derivative(U * U1) == U1 * U1 + U * U2
     # d/dz (u (u')^2) = (u')^3 + 2 u u' u''
     got = total_derivative(U * U1 * U1)
-    assert got == U1 * U1 * U1 + 2 * (U * U1 * U2)
+    assert got == U1 * U1 * U1 + const(2) * (U * U1 * U2)
 
 
 def test_scalar_multiplication():
-    assert 0 * U == DiffPolynomial.zero()
-    assert (-1) * U == DiffPolynomial.monomial(-1, (1,))
+    assert const(0) * U == DiffPolynomial.zero()
+    assert const(-1) * U == DiffPolynomial.monomial(-1, (1,))
+
+
+def test_int_operand_is_a_type_error():
+    # only a DiffPolynomial multiplies a DiffPolynomial, as with LaurentSeries
+    with pytest.raises(TypeError):
+        2 * U
+    with pytest.raises(TypeError):
+        U * 2
 
 
 def test_str_rendering():
     assert str(DiffPolynomial.zero()) == "0"
     assert str(U * U1) == "u u'"
-    assert str(3 * (DiffPolynomial.u_power(2) * U1)) == "3 u^2 u'"
-    assert str(DiffPolynomial.jet(4)) == "u^(4)"
+    assert str(const(3) * (DiffPolynomial.u_power(2) * U1)) == "3 u^2 u'"
+    assert str(jet(4)) == "u^(4)"
     # same degree, so lex on the exponent tuples puts u' first
     assert str(U + DiffPolynomial.monomial(-1, (0, 1))) == "-u' + u"  # u - u'
 

@@ -4,7 +4,6 @@ import pytest
 
 from opow.diffpoly import DiffPolynomial, degree, weight
 from opow.expansion import (
-    CEntry,
     OperatorExpansion,
     check_closed_forms,
     expand,
@@ -16,7 +15,11 @@ from opow.expansion import (
 )
 
 U = DiffPolynomial.u_power
-J = DiffPolynomial.jet
+
+
+def J(j, e=1):
+    """The monomial (u^(j))^e."""
+    return DiffPolynomial.monomial(1, (0,) * j + (e,))
 
 
 def poly(*monomials):
@@ -106,7 +109,7 @@ def test_sum_of_first_coefficient_is_factorial():
 
 def test_extract_F_examples():
     exp = expand(3)
-    assert extract_F(exp, m=1, s=1) == 3 * J(1)
+    assert extract_F(exp, m=1, s=1) == DiffPolynomial.monomial(3, (0, 1))
     assert extract_F(exp, m=1, s=2) == J(2)
     assert extract_F(exp, m=2, s=2) == J(1, 2)
 
@@ -122,7 +125,7 @@ def test_extract_F_rejects_a_monomial_off_the_invariant():
     # 5 u^2 u'' has degree 3 in a power of degree 4; read off as m = 2 it
     # would pass for 5 u'' next to the true 7 (u')^2
     exp = expand(4)
-    assert extract_F(exp, m=2, s=2) == 7 * J(1, 2)
+    assert extract_F(exp, m=2, s=2) == DiffPolynomial.monomial(7, (0, 2))
     stray = DiffPolynomial.monomial(5, (2, 0, 1))
     corrupted = OperatorExpansion(exp.k, {**exp.coeffs, 2: exp.coeffs[2] + stray})
     with pytest.raises(ValueError, match="invariant violation"):
@@ -132,9 +135,9 @@ def test_extract_F_rejects_a_monomial_off_the_invariant():
 def test_extract_C_examples():
     entries = extract_C(expand(3))
     assert entries == [
-        CEntry(3, 1, 1, (1,), 3),
-        CEntry(3, 2, 1, (0, 1), 1),
-        CEntry(3, 2, 2, (2,), 1),
+        ((3, 1, 1, (1,)), 3),
+        ((3, 2, 1, (0, 1)), 1),
+        ((3, 2, 2, (2,)), 1),
     ]
 
 
@@ -145,11 +148,12 @@ def test_extract_C_requires_k_at_least_two():
 
 def test_extract_C_invariants():
     for k in range(2, 9):
-        for e in extract_C(expand(k)):
-            assert sum(e.alpha) == e.m
-            assert sum(i * a for i, a in enumerate(e.alpha, 1)) == e.s
-            assert e.value > 0
-            assert 1 <= e.m <= e.s <= e.k - 1
+        for (k_, s, m, alpha), value in extract_C(expand(k)):
+            assert k_ == k
+            assert sum(alpha) == m
+            assert sum(i * a for i, a in enumerate(alpha, 1)) == s
+            assert value > 0
+            assert 1 <= m <= s <= k - 1
 
 
 def test_check_closed_forms():

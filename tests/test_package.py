@@ -17,7 +17,7 @@ from opow.diffpoly import DiffPolynomial
 from opow.expansion import OperatorExpansion
 from opow.report import Failure, VerificationReport
 from opow.series import LaurentSeries
-from opow.special_u import ATable, URule
+from opow.special_u import URule
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -116,7 +116,6 @@ RECORDS = [
         ((((0, 1), Fraction(-1, 3)), ((1, 0), 1)),),
         "URule(terms=(((0, 1), Fraction(-1, 3)), ((1, 0), 1)))",
     ),
-    (ATable, (1, {(1, 1): 1}), "ATable(k_max=1)"),
 ]
 
 

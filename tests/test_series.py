@@ -13,7 +13,6 @@ from opow.series import (
     LaurentSeries,
     apply_A_repeated,
     apply_expansion,
-    apply_expansions,
     eigenfunction_report,
     oracle_check,
     oracle_suite,
@@ -447,7 +446,7 @@ def test_apply_expansion_on_cancelling_corruption():
     assert_matches_reference(exp, P([1, 0, 0, 1]), Z(3))
 
 
-# apply_expansions against one apply_expansion per power ---------------------
+# one plan of several powers against one apply_expansion per power -----------
 
 EVALUATED = [*EXPANSIONS.values(), *corrupted_expansions(4).values()]
 
@@ -457,8 +456,9 @@ EVALUATED = [*EXPANSIONS.values(), *corrupted_expansions(4).values()]
 @example([EXPANSIONS[k] for k in (7, 2, 7, 1)], TRUNCATED_EXP, P([1, 2, 3, 4, 5, 6, 7, 8]))
 @example([EXPANSIONS[k] for k in (5, 3, 5)], P([Q(1, 2), 0, Q(-3, 4)], min_exp=-1), Z(4, Q(2, 3)))
 @example([EXPANSIONS[3], EXPANSIONS[1]], TRUNCATED_EXP, P([1, 1]))
-def test_apply_expansions_is_apply_expansion_per_power(exps, u, f):
-    assert apply_expansions(exps, u, f) == [apply_expansion(exp, u, f) for exp in exps]
+def test_apply_plan_is_apply_expansion_per_power(exps, u, f):
+    got = series._apply_plan(series._plan(exps), u, f)
+    assert got == [apply_expansion(exp, u, f) for exp in exps]
 
 
 @settings(max_examples=100, deadline=None)
