@@ -524,6 +524,17 @@ def test_verify_closed_pipe_after_the_first_report_exits_quietly():
     assert (err, code) == (b"", 141)
 
 
+def python_child(*args, buffered=True, **streams):
+    """``python *args`` run to its end from the checkout, with the source
+    tree on PYTHONPATH and, when ``buffered``, stdout and stderr
+    block-buffered as Python leaves them by default (PYTHONUNBUFFERED
+    dropped)."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, *args], cwd=REPO, env=env, timeout=120, **streams)
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize(
     "argv",
@@ -531,22 +542,105 @@ def test_verify_closed_pipe_after_the_first_report_exits_quietly():
         ("verify", "--k-max", "3"),
         ("ctable", "--k-max", "4"),
         ("expand", "--k", "3", "--format", "json"),
+        # argparse ends --help with SystemExit(0) while the help text is
+        # still in stdout's buffer
+        ("--help",),
     ],
 )
 def test_write_error_exits_74_with_one_line(argv):
     # 74 is EX_IOERR: a write that fails for any reason but a closed pipe
     # is neither a failed verification (1) nor a traceback
     with open("/dev/full", "wb") as full:
-        proc = subprocess.run(
-            [sys.executable, "-m", "opow", *argv],
-            cwd=REPO,
-            env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
-            stdout=full,
-            stderr=subprocess.PIPE,
-            timeout=120,
-        )
+        proc = python_child("-m", "opow", *argv, stdout=full, stderr=subprocess.PIPE)
     err = "opow: cannot write output: [Errno 28] No space left on device\n"
     assert (proc.returncode, proc.stderr.decode()) == (74, err)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [True, False])
+def test_write_error_exits_74_when_stderr_fails_too(buffered):
+    with open("/dev/full", "wb") as full:
+        proc = python_child("-m", "opow", "verify", "--k-max", "3", buffered=buffered,
+                            stdout=full, stderr=full)
+    assert proc.returncode == 74
+
+
+def test_help_to_a_closed_pipe_exits_141():
+    # the read end is closed before opow starts, so its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = python_child("-m", "opow", "--help", stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (proc.stderr, proc.returncode) == (b"", 141)
+
+
+def test_help_and_a_usage_error_through_the_executable():
+    help_ = python_child("-m", "opow", "--help", capture_output=True, text=True)
+    assert (help_.returncode, help_.stderr) == (0, "")
+    assert help_.stdout.startswith("usage: opow ")
+    usage = python_child("-m", "opow", "expand", "--k", "0", capture_output=True, text=True)
+    assert (usage.returncode, usage.stdout) == (2, "")
+    assert usage.stderr == (
+        "usage: opow [-h] {expand,ctable,atable,stirling,verify} ...\n"
+        "opow: error: --k must be >= 1\n"
+    )
+
+
+# An atexit callback registered before opow.cli is imported runs after
+# every callback opow registers, and reports the collector's state.
+GC_AT_EXIT = """
+import atexit, gc, sys
+atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr))
+from opow import cli
+sys.argv = ["opow", "expand", "--k", "3"]
+"""
+
+
+@pytest.mark.parametrize(
+    "body, err",
+    [
+        # the executable: the final collection at interpreter exit has
+        # nothing to walk
+        ("cli.run()", "False True\n"),
+        # the collector is untouched until the exit itself
+        (
+            "try:\n    cli.run()\nexcept SystemExit as exit_:\n"
+            "    print(exit_.code, gc.isenabled(), gc.get_freeze_count(), file=sys.stderr)",
+            "0 True 0\nFalse True\n",
+        ),
+        # importing opow.cli and calling main register nothing
+        ("cli.main(sys.argv[1:])", "True False\n"),
+    ],
+    ids=["run", "run-exit-caught", "main"],
+)
+def test_executable_skips_the_final_collection_at_exit(body, err):
+    proc = python_child("-c", GC_AT_EXIT + body, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, err)
+    assert proc.stdout.startswith("A^3 = ")
+
+
+def test_failed_verification_exits_1_through_the_executable():
+    script = """
+import sys
+from opow import cli, ctable
+from opow.report import Failure, VerificationReport
+
+def verify_binomial_column(table):
+    return VerificationReport("binomial", table.k_max, 1, [Failure("k+1=2 s=1", "1", "2")])
+
+ctable.verify_binomial_column = verify_binomial_column
+sys.argv = ["opow", "verify", "--suite", "binomial", "--k-max", "3"]
+cli.run()
+"""
+    proc = python_child("-c", script, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert proc.stdout.splitlines() == [
+        "[FAIL] binomial: k_max=3 checks=1 failures=1",
+        "  FAIL k+1=2 s=1: expected 1, actual 2",
+        "overall: FAIL suites=1 checks=1 failures=1",
+    ]
 
 
 class FlushRecorder(io.StringIO):
