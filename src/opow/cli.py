@@ -17,12 +17,14 @@ Exit codes: 0 all checks pass / output produced, 1 a verification
 failed, 2 usage error, 74 the output could not be written (EX_IOERR of
 sysexits.h: a full disk, say), 141 the reader closed the output pipe
 early (the code a shell reports for a writer killed by SIGPIPE);
-``--help`` follows the same rule for 74 and 141.  The environment
-variable OPOW_MAX_K (default 40 when unset or empty; any other value
-must be ASCII decimal digits with a value >= 1) caps every k-like
-argument to guard against accidental huge jobs; note that the number of
-table entries per power grows like the integer partition function, so
-large k_max values get expensive quickly.
+``--help`` follows the same rule for 74 and 141, and both hold with
+stdout unbuffered (PYTHONUNBUFFERED) as without it.  A stdout closed
+before the start (``opow verify >&-``) exits 74 before any work.  The
+environment variable OPOW_MAX_K (default 40 when unset or empty; any
+other value must be ASCII decimal digits with a value >= 1) caps every
+k-like argument to guard against accidental huge jobs; note that the
+number of table entries per power grows like the integer partition
+function, so large k_max values get expensive quickly.
 
 All numeric output is exact: integers or rationals rendered p/q.  The
 executable lifts Python's limit on the digits of an int converted to a
@@ -50,11 +52,12 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import errno
 import functools
 import gc
 import os
 import sys
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable
 
 if TYPE_CHECKING:
     from types import ModuleType
@@ -150,23 +153,6 @@ def _write_json(head: dict[str, object], key: str, items: Iterable[str]) -> None
 # expand rendering -----------------------------------------------------
 
 
-class _Style(NamedTuple):
-    """The symbols of one human-readable output format."""
-
-    notation: Notation
-    d: str  # the operator d/dz
-    exp: str  # format string taking m, for the factor e^(m z)
-    group: str  # format string wrapping a coefficient polynomial
-
-
-def _style(fmt: str) -> _Style:
-    from .diffpoly import LATEX, TEXT
-
-    if fmt == "text":
-        return _Style(TEXT, "D", "e^({}z)", "({}) ")
-    return _Style(LATEX, r"\left(\frac{d}{dz}\right)", "e^{{{} z}}", r"\left({}\right)")
-
-
 def _render_generic(k: int, fmt: str) -> None:
     from .expansion import expand
 
@@ -184,24 +170,26 @@ def _render_generic(k: int, fmt: str) -> None:
         )
         _write_json({"k": k, "u": "generic"}, "terms", items)
         return
-    style = _style(fmt)
-    power = style.notation.power.format
+    from .diffpoly import LATEX, TEXT
+
+    notation = TEXT if fmt == "text" else LATEX
+    power = notation.power.format
     write = sys.stdout.write
     for s in range(1, k + 1):
-        group = style.group.format(exp.coeffs[s].render(style.notation))
-        write((" + " if s > 1 else power("A", k) + " = ") + group + power(style.d, s))
+        group = notation.group.format(exp.coeffs[s].render(notation))
+        write((" + " if s > 1 else power("A", k) + " = ") + group + power(notation.d, s))
     write("\n")
 
 
-def _special_term(t: SpecialTerm, style: _Style) -> str:
+def _special_term(t: SpecialTerm, notation: Notation) -> str:
     """One specialized term with the magnitude of its coefficient."""
-    power = style.notation.power.format
+    power = notation.power.format
     factors = [str(abs(t.coeff))]
     if t.z_exp != 0:
         factors.append(power("z", t.z_exp))
     if t.exp_mult != 0:
-        factors.append(style.exp.format(t.exp_mult))
-    factors.append(power(style.d, t.d_order))
+        factors.append(notation.exp.format(t.exp_mult))
+    factors.append(power(notation.d, t.d_order))
     return " ".join(factors)
 
 
@@ -213,11 +201,11 @@ def _render_special(k: int, u_label: str, rule: URule, fmt: str) -> None:
         head = {"k": k, "u": u_label, "exp_factor": terms[0].exp_mult if terms else 0}
         _write_json(head, "terms", (_json([t.coeff, t.z_exp, t.d_order], "    ") for t in terms))
         return
-    from .diffpoly import signed_join
+    from .diffpoly import LATEX, TEXT, signed_join
 
-    style = _style(fmt)
-    body = signed_join((t.coeff, _special_term(t, style)) for t in terms)
-    print(style.notation.power.format("A", k) + " = " + body)
+    notation = TEXT if fmt == "text" else LATEX
+    body = signed_join((t.coeff, _special_term(t, notation)) for t in terms)
+    print(notation.power.format("A", k) + " = " + body)
 
 
 def _parse_u(parser: argparse.ArgumentParser, choice: str) -> URule | None:
@@ -411,6 +399,11 @@ def run() -> None:
     the same rule.  Python's limit on the digits of an int rendered as a
     string is lifted, so output stays exact at every size.
 
+    A stdout left None (fd 1 closed) is such an error, found before
+    ``main`` runs.  Even when PYTHONUNBUFFERED is set, stdout holds each
+    write until flushed, because argparse drops the OSError of the write
+    of ``--help``; every streaming writer flushes each item itself.
+
     At exit the interpreter skips its final cyclic garbage collection,
     which would walk every object of every loaded module (about 10 ms)
     just before the process frees them all: an ``atexit`` callback
@@ -424,6 +417,10 @@ def run() -> None:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     try:
+        if sys.stdout is None:  # fd 1 was closed when the interpreter started
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        # the help text then fails at the flush below, not inside argparse
+        sys.stdout.reconfigure(write_through=False)
         try:
             code = main()
         except SystemExit as exit_:  # how argparse ends --help and usage errors
@@ -433,7 +430,8 @@ def run() -> None:
         # As the signal module docs advise for SIGPIPE: point stdout at
         # devnull so that the flush at interpreter exit cannot raise again.
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        if sys.stdout is not None:
+            os.dup2(devnull, sys.stdout.fileno())
         if isinstance(err, BrokenPipeError):
             sys.exit(141)  # 128 + SIGPIPE
         try:

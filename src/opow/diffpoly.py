@@ -14,6 +14,10 @@ Besides ring arithmetic the module provides the total derivative: the
 derivation that sends u^(j) to u^(j+1) and acts on products by the
 chain rule.  It preserves the total degree of every monomial and raises
 its differential weight (sum of j * e_j) by exactly one.
+
+:data:`TEXT` and :data:`LATEX` are the two human-readable output formats
+of ``opow expand``, one :class:`Notation` each, for the generic
+expansion and every substitution alike.
 """
 
 from __future__ import annotations
@@ -60,14 +64,20 @@ class DiffMonomial(NamedTuple):
 
 
 class Notation(NamedTuple):
-    """How one output format spells a power and a jet above u'''."""
+    """How one human-readable output format spells a power, a jet above
+    u''', the operator d/dz, the factor e^(m z) and a coefficient group."""
 
     power: str  # format string taking (base, exponent)
     high_jet: str  # format string taking the jet index j > 3
+    d: str  # the operator d/dz
+    exp: str  # format string taking m, for the factor e^(m z)
+    group: str  # format string wrapping a coefficient polynomial
 
 
-TEXT = Notation("{}^{}", "u^({})")
-LATEX = Notation("{}^{{{}}}", "u^{{({})}}")
+TEXT = Notation("{}^{}", "u^({})", "D", "e^({}z)", "({}) ")
+LATEX = Notation(
+    "{}^{{{}}}", "u^{{({})}}", r"\left(\frac{d}{dz}\right)", "e^{{{} z}}", r"\left({}\right)"
+)
 
 
 def jet_symbol(j: int, notation: Notation = TEXT) -> str:

@@ -135,32 +135,30 @@ def extract_C(exp: OperatorExpansion) -> list[tuple[CKey, int]]:
     return sorted(entries)
 
 
-def _check_one(report: VerificationReport, exp: OperatorExpansion) -> None:
-    k = exp.k
-    top = DiffPolynomial.u_power(k)
-    report.expect_equal(f"k={k} s={k}", top, exp.coeffs[k])
-    next_down = DiffPolynomial.monomial(k * (k - 1) // 2, (k - 1, 1))
-    report.expect_equal(f"k={k} s={k - 1}", next_down, exp.coeffs[k - 1])
-
-
 def check_closed_forms(exp: OperatorExpansion) -> VerificationReport:
     """Check the two explicit coefficient formulas at the top of the table.
 
     The top coefficient must be u^k, the one below it the triangular
     number k(k-1)/2 times u^(k-1) u'.
     """
-    if exp.k < 2:
+    k = exp.k
+    if k < 2:
         raise ValueError("closed-form check needs k >= 2")
-    report = VerificationReport(suite="closed-form", k_max=exp.k)
-    _check_one(report, exp)
+    report = VerificationReport(suite="closed-form", k_max=k)
+    report.expect_equal(f"k={k} s={k}", DiffPolynomial.u_power(k), exp.coeffs[k])
+    next_down = DiffPolynomial.monomial(k * (k - 1) // 2, (k - 1, 1))
+    report.expect_equal(f"k={k} s={k - 1}", next_down, exp.coeffs[k - 1])
     return report
 
 
 def verify_closed_forms(k_max: int) -> VerificationReport:
-    """Run the closed-form checks for every power 2..k_max in one sweep."""
+    """One walk of the powers: :func:`check_closed_forms` on each of
+    2..k_max, its checks and failures gathered into one report."""
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
     report = VerificationReport(suite="closed-form", k_max=k_max)
     for exp in islice(expansions(k_max), 1, None):
-        _check_one(report, exp)
+        one = check_closed_forms(exp)
+        report.checks += one.checks
+        report.failures += one.failures
     return report

@@ -169,30 +169,21 @@ def specialize(exp: OperatorExpansion, rule: URule) -> tuple[SpecialTerm, ...]:
 
 
 # The direct route: the normal-ordering recurrence run over z-functions
-# whose coefficients are all int.
+# whose coefficients are all int, one row of the next power per call.
 
-def _zf_derivative(p: _ZFunction) -> _ZFunction:
-    """d/dz (c z^a e^(mz)) = c a z^(a-1) e^(mz) + c m z^a e^(mz)."""
-    out: _ZFunction = {}
-    for (a, m), c in p.items():
+def _next_row(u: _ZFunction, lower: _ZFunction, upper: _ZFunction) -> _ZFunction:
+    """u (P_(s-1) + P_s') from the rows P_(s-1) (``lower``) and P_s
+    (``upper``) of one power: row s of the next, zero terms dropped.
+    d/dz (c z^a e^(mz)) = c a z^(a-1) e^(mz) + c m z^a e^(mz)."""
+    inner = dict(lower)
+    for (a, m), c in upper.items():
         if a:
-            out[a - 1, m] = out.get((a - 1, m), 0) + c * a
+            inner[a - 1, m] = inner.get((a - 1, m), 0) + c * a
         if m:
-            out[a, m] = out.get((a, m), 0) + c * m
-    return out
-
-
-def _zf_add(p: _ZFunction, q: _ZFunction) -> _ZFunction:
-    out = dict(p)
-    for key, c in q.items():
-        out[key] = out.get(key, 0) + c
-    return out
-
-
-def _zf_mul(p: _ZFunction, q: _ZFunction) -> _ZFunction:
+            inner[a, m] = inner.get((a, m), 0) + c * m
     out: _ZFunction = {}
-    for (pa, pm), pc in p.items():
-        for (qa, qm), qc in q.items():
+    for (pa, pm), pc in u.items():
+        for (qa, qm), qc in inner.items():
             key = (pa + qa, pm + qm)
             out[key] = out.get(key, 0) + pc * qc
     return {key: c for key, c in out.items() if c}
@@ -221,10 +212,7 @@ def expand_specialized(k: int, rule: URule) -> tuple[SpecialTerm, ...]:
     rows: list[_ZFunction] = [{(0, 0): 1}]
     for _ in range(k):
         padded = [{}, *rows, {}]  # P_(-1) and P_(len(rows)) are zero
-        rows = [
-            _zf_mul(u, _zf_add(padded[s], _zf_derivative(padded[s + 1])))
-            for s in range(len(rows) + 1)
-        ]
+        rows = [_next_row(u, padded[s], padded[s + 1]) for s in range(len(rows) + 1)]
     denominator = scale**k
     return tuple(
         SpecialTerm(Fraction(c, denominator), z_exp, exp_mult, s)

@@ -1,3 +1,4 @@
+import errno
 import gc
 import hashlib
 import io
@@ -526,12 +527,14 @@ def test_verify_closed_pipe_after_the_first_report_exits_quietly():
 
 def python_child(*args, buffered=True, **streams):
     """``python *args`` run to its end from the checkout, with the source
-    tree on PYTHONPATH and, when ``buffered``, stdout and stderr
-    block-buffered as Python leaves them by default (PYTHONUNBUFFERED
-    dropped)."""
+    tree on PYTHONPATH and stdout and stderr block-buffered as Python
+    leaves them by default (PYTHONUNBUFFERED dropped) when ``buffered``,
+    else unbuffered (PYTHONUNBUFFERED=1)."""
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     if buffered:
         env.pop("PYTHONUNBUFFERED", None)
+    else:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, *args], cwd=REPO, env=env, timeout=120, **streams)
 
 
@@ -574,6 +577,48 @@ def test_help_to_a_closed_pipe_exits_141():
     finally:
         os.close(write_end)
     assert (proc.stderr, proc.returncode) == (b"", 141)
+
+
+# argparse drops the OSError of a failed write of the help text; an
+# unbuffered stdout would fail that write itself, not the flush after it
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [("--help",), ("expand", "--help")])
+def test_unbuffered_help_to_a_full_device_exits_74(argv):
+    with open("/dev/full", "wb") as full:
+        proc = python_child("-m", "opow", *argv, buffered=False, stdout=full,
+                            stderr=subprocess.PIPE)
+    err = "opow: cannot write output: [Errno 28] No space left on device\n"
+    assert (proc.returncode, proc.stderr.decode()) == (74, err)
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("expand", "--help")])
+def test_unbuffered_help_to_a_closed_pipe_exits_141(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = python_child("-m", "opow", *argv, buffered=False, stdout=write_end,
+                            stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (proc.stderr, proc.returncode) == (b"", 141)
+
+
+# Closes fd 1, then starts opow on the remaining arguments in its place,
+# as a shell's ">&-" does: Python then starts with sys.stdout None.
+WITHOUT_STDOUT = (
+    "import os, sys; os.close(1); os.execv(sys.executable, [sys.executable, *sys.argv[1:]])"
+)
+
+
+@pytest.mark.parametrize(
+    "argv", [("verify", "--k-max", "3"), ("ctable", "--k-max", "3"), ("--help",)]
+)
+def test_closed_stdout_exits_74_with_one_line(argv):
+    # print to a None stdout writes nothing and raises nothing, so without
+    # the check verify would run every suite for nothing and exit 1
+    proc = python_child("-c", WITHOUT_STDOUT, "-m", "opow", *argv, stderr=subprocess.PIPE)
+    err = f"opow: cannot write output: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}\n"
+    assert (proc.returncode, proc.stderr.decode()) == (74, err)
 
 
 def test_help_and_a_usage_error_through_the_executable():

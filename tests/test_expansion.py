@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from opow import expansion
 from opow.diffpoly import DiffPolynomial, degree, weight
 from opow.expansion import (
     OperatorExpansion,
@@ -168,6 +169,19 @@ def test_verify_closed_forms_sweep():
     report = verify_closed_forms(12)
     assert report.ok
     assert report.checks == 2 * 11
+
+
+def test_verify_closed_forms_checks_each_power_with_check_closed_forms(monkeypatch):
+    seen = []
+    real = expansion.check_closed_forms
+
+    def recording(exp):
+        seen.append(exp.k)
+        return real(exp)
+
+    monkeypatch.setattr(expansion, "check_closed_forms", recording)
+    assert verify_closed_forms(6).checks == 2 * 5
+    assert seen == [2, 3, 4, 5, 6]
 
 
 def partition_numbers(n_max):
