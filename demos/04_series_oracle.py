@@ -50,4 +50,4 @@ print("equal:", brute == via_expansion)
 print()
 report = oracle_suite(5, seed=42)
 print(report.summary())
-print(eigenfunction_report(8, 8).summary())
+print(eigenfunction_report().summary())

@@ -129,7 +129,6 @@ _HOMES = {
             "oracle_check",
             "oracle_suite",
             "random_polynomial",
-            "series_for_rule",
         ),
         "series",
     ),

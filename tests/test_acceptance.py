@@ -151,7 +151,7 @@ def test_specializations_at_the_default_cap():
 def test_series_oracle():
     start = time.monotonic()
     random_part = oracle_suite(6, seed=42)
-    eigen_part = eigenfunction_report(8, 8)
+    eigen_part = eigenfunction_report()
     elapsed = time.monotonic() - start
     ok = (
         random_part.ok

@@ -17,26 +17,31 @@ from opow.series import (
     oracle_check,
     oracle_suite,
     random_polynomial,
-    series_for_rule,
 )
-from opow.special_u import EXP_Z, INVERSE_Z, URule, polynomial_u
+from opow.special_u import INVERSE_Z, polynomial_u
 
 Q = Fraction
 P = LaurentSeries.polynomial
 Z = LaurentSeries.z_power
+ZERO = P([])
+
+
+def exp_taylor(m, terms):
+    """The Taylor polynomial of e^(mz) with the given number of terms."""
+    return P([Q(m**n, math.factorial(n)) for n in range(terms)])
 
 
 def test_construction_canonicalizes():
     s = LaurentSeries(0, (0, 1, 0))
     assert s.min_exp == 1 and s.coeffs == (Q(1),)
-    assert LaurentSeries.zero() == P([]) == LaurentSeries(3, (0, 0))
-    assert LaurentSeries.zero().coeffs == ()
+    assert ZERO == LaurentSeries(3, (0, 0))
+    assert ZERO.coeffs == () and ZERO.min_exp == 0
 
 
 def test_derivative_examples():
     assert Z(2).derivative() == P([2], min_exp=1)  # d/dz z^2 = 2z
     assert Z(-1).derivative() == Z(-2, -1)  # d/dz 1/z = -1/z^2
-    assert P([5]).derivative() == LaurentSeries.zero()
+    assert P([5]).derivative() == ZERO
 
 
 def test_mul_examples():
@@ -46,9 +51,8 @@ def test_mul_examples():
 
 
 def test_exact_zero_annihilates_truncated_series():
-    a = series_for_rule(EXP_Z, prec=3)  # 1 + z + 1/2 z^2
-    z = LaurentSeries.zero()
-    assert a * z == z * a == z
+    a = exp_taylor(1, 3)  # 1 + z + 1/2 z^2
+    assert a * ZERO == ZERO * a == ZERO
 
 
 def test_apply_A_repeated_examples():
@@ -81,45 +85,24 @@ def test_apply_expansion_matches_repeated_application():
 
 def test_exact_zero_result_is_fine():
     # constant f: A f = u * 0 = 0 exactly
-    assert apply_A_repeated(P([0, 1]), P([5]), 1) == LaurentSeries.zero()
+    assert apply_A_repeated(P([0, 1]), P([5]), 1) == ZERO
 
 
-MIXED_U = URule({(0, 0): Q(1, 3), (1, 1): 2})  # u = 1/3 + 2z e^z
-DECAYING_U = URule({(-1, -2): Q(1, 2), (2, 0): -1})  # u = e^(-2z) / (2z) - z^2
-
-
-def test_series_for_rule():
-    assert series_for_rule(polynomial_u([1, 0, 2])) == P([1, 0, 2])
-    assert series_for_rule(INVERSE_Z) == Z(-1)
-    # e^z cut below z^5: its Taylor polynomial of degree 4, exactly
-    e = series_for_rule(EXP_Z, prec=5)
-    assert e == P([1, 1, Q(1, 2), Q(1, 6), Q(1, 24)])
-    assert str(e) == "1 + z + 1/2 z^2 + 1/6 z^3 + 1/24 z^4"
-    assert series_for_rule(EXP_Z, prec=9) == TRUNCATED_EXP
-    assert series_for_rule(EXP_Z, prec=0) == LaurentSeries.zero()
-    with pytest.raises(ValueError):
-        series_for_rule(EXP_Z)
-    # prec matters only for exponential terms
-    assert series_for_rule(INVERSE_Z, prec=3) == Z(-1)
-    # 1/3 + 2z e^z cut below z^6 = 1/3 + 2z + 2z^2 + z^3 + 1/3 z^4 + 1/12 z^5
-    mixed = series_for_rule(MIXED_U, prec=6)
-    assert mixed == P([Q(1, 3), 2, 2, 1, Q(1, 3), Q(1, 12)])
-    with pytest.raises(ValueError):
-        series_for_rule(MIXED_U)
-    # 1/2 z^-1 - 1 + z - 2/3 z^2 from the exponential term, and -z^2
-    decaying = series_for_rule(DECAYING_U, prec=3)
-    assert decaying == P([Q(1, 2), -1, 1, Q(-5, 3)], min_exp=-1)
+MIXED_U = P([Q(1, 3)]) + Z(1, 2) * exp_taylor(1, 12)  # u = 1/3 + 2z e^z
+DECAYING_U = Z(-1, Q(1, 2)) * exp_taylor(-2, 12) + Z(2, -1)  # u = e^(-2z) / (2z) - z^2
 
 
 def test_oracle_check_with_rules_and_random_inputs():
-    assert oracle_check(3, u=INVERSE_Z, f=Z(10)).ok
-    assert oracle_check(2, u=EXP_Z, f=P([0, 1, 1])).ok
+    assert oracle_check(3, u=Z(-1), f=Z(10)).ok
+    assert oracle_check(2, u=exp_taylor(1, 12), f=P([0, 1, 1])).ok
     for k in range(1, 5):
         assert oracle_check(k, u=MIXED_U, seed=k).ok
         assert oracle_check(k, u=DECAYING_U, seed=k).ok
     assert oracle_check(4, seed=123).ok
     with pytest.raises(ValueError):
         oracle_check(0)
+    with pytest.raises(TypeError):  # a substitution rule is not a series
+        oracle_check(2, u=INVERSE_Z)
 
 
 def test_random_polynomial_is_reproducible():
@@ -158,17 +141,27 @@ def test_oracle_suite_fails_only_at_a_corrupted_power(monkeypatch):
 
 
 def test_eigenfunction_report():
-    report = eigenfunction_report(5, 5)
+    report = eigenfunction_report()
     assert report.ok
-    assert report.checks == 25
+    assert report.checks == 64
+
+
+def test_a_derivative_off_by_a_constant_factor_passes_only_the_oracle(monkeypatch):
+    # both oracle sides then compute 2^k A^k f; the eigenfunction law catches it
+    derivative = LaurentSeries.derivative
+    monkeypatch.setattr(LaurentSeries, "derivative", lambda s: Z(0, 2) * derivative(s))
+    oracle = oracle_suite(4)
+    assert oracle.ok and oracle.checks == 200
+    eigen = eigenfunction_report()
+    assert eigen.checks == 64 and len(eigen.failures) == 64
 
 
 def test_str_rendering():
     assert str(P([1, -2])) == "1 - 2 z"
     assert str(Z(-3, Q(1, 2))) == "1/2 z^-3"
-    assert str(LaurentSeries.zero()) == "0"
+    assert str(ZERO) == "0"
     assert str(P([Q(-3, 4), 1, -1], -1)) == "-3/4 z^-1 + 1 - z"
-    assert str(LaurentSeries.from_terms({-2: -1, 1: Q(5, 3), 2: -2})) == "-z^-2 + 5/3 z - 2 z^2"
+    assert str(Z(-2, -1) + Z(1, Q(5, 3)) + Z(2, -2)) == "-z^-2 + 5/3 z - 2 z^2"
 
 
 # A naive reference: a series is the {exponent: Fraction} of its nonzero
@@ -278,7 +271,6 @@ INEXACT_BUILDS = {
     "polynomial-decimal": lambda: P([1, Decimal("0.5")]),
     "polynomial-str": lambda: P(["1"]),
     "z_power-float": lambda: Z(2, 0.5),
-    "from_terms-float": lambda: LaurentSeries.from_terms({0: 1, 1: 0.25}),
     "constructor-float": lambda: LaurentSeries(0, (1.0,)),
     "series-times-float": lambda: P([1, 2]) * 0.5,
     "float-times-series": lambda: 0.5 * P([1, 2]),
@@ -299,7 +291,7 @@ def test_oracle_rejects_a_corrupted_expansion():
     rng = random.Random(11)
     random_u = random_polynomial(rng, 4)
     f = P([rng.randint(1, 9) for _ in range(7)])  # degree 6 > 4: no f^(s) vanishes
-    for u in (random_u, series_for_rule(EXP_Z, prec=12)):
+    for u in (random_u, exp_taylor(1, 12)):
         brute = apply_A_repeated(u, f, 4)
         assert apply_expansion(exp, u, f) == brute
         for s, p in exp.coeffs.items():
@@ -310,20 +302,21 @@ def test_oracle_rejects_a_corrupted_expansion():
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_oracle_with_truncated_exponential(k):
-    report = oracle_check(k, u=EXP_Z, seed=k)
+    report = oracle_check(k, u=exp_taylor(1, 2 * k + 8), seed=k)
     assert report.ok and report.checks == 1
 
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_oracle_with_mixed_exponential_rule(k):
-    u = URule({(0, 1): 2, (1, 0): 1, (-1, -1): 3})  # 2 e^z + z + 3 e^(-z) / z
+    e, inverse_e = exp_taylor(1, 2 * k + 8), exp_taylor(-1, 2 * k + 8)
+    u = P([2]) * e + Z(1) + Z(-1, 3) * inverse_e  # 2 e^z + z + 3 e^(-z) / z
     report = oracle_check(k, u=u, seed=k)
     assert report.ok and report.checks == 1
 
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_oracle_with_rational_polynomial(k):
-    report = oracle_check(k, u=polynomial_u([Q(1, 2), 0, Q(-3, 4)]), seed=k)
+    report = oracle_check(k, u=P([Q(1, 2), 0, Q(-3, 4)]), seed=k)
     assert report.ok and report.checks == 1
 
 
@@ -346,11 +339,11 @@ def reference_apply_expansion(exp, u, f):
             powers[j, e] = jet_power(j, e - 1) * u_jets[j] if e > 1 else u_jets[j]
         return powers[j, e]
 
-    total = LaurentSeries.zero()
+    total = ZERO
     f_der = f
     for s in range(1, exp.k + 1):
         f_der = f_der.derivative()
-        poly = LaurentSeries.zero()
+        poly = ZERO
         for coeff, exps in exp.coeffs[s].terms:
             term = Z(0, coeff)
             for j, e in enumerate(exps):
@@ -378,16 +371,16 @@ def oracle_series(draw):
     return LaurentSeries(min_exp, coeffs)
 
 
-TRUNCATED_EXP = P([Q(1, math.factorial(n)) for n in range(9)])  # e^z cut below z^9
+TRUNCATED_EXP = exp_taylor(1, 9)  # e^z cut below z^9
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 7), oracle_series(), oracle_series())
 @example(5, TRUNCATED_EXP, P([1, 2, 3, 4, 5, 6, 7, 8]))
-@example(4, TRUNCATED_EXP, LaurentSeries.from_terms({-1: 2, 3: Q(1, 3)}))
-@example(3, LaurentSeries.zero(), P([1, 2, 3]))
-@example(3, P([1, 2]), LaurentSeries.zero())
-@example(1, LaurentSeries.zero(), LaurentSeries.zero())
+@example(4, TRUNCATED_EXP, Z(-1, 2) + Z(3, Q(1, 3)))
+@example(3, ZERO, P([1, 2, 3]))
+@example(3, P([1, 2]), ZERO)
+@example(1, ZERO, ZERO)
 @example(6, Z(-1), P([1, Q(-2, 3), 5], min_exp=-2))
 @example(7, P([Q(1, 2), 0, Q(-3, 4)], min_exp=-1), P([Q(5, 6), 1, 0, 0, 2], min_exp=3))
 @example(7, P([10**40, -(10**40) + 1, 3]), P([3 * 10**39, 0, -7, 10**40]))
