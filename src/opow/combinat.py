@@ -3,13 +3,18 @@
 Everything here is computed from first principles (standard recurrences
 or explicit products) so that the verifiers elsewhere in the package
 never check a table against itself.
+
+The Stirling triangles S(n, m) and c(n, m) and the signed 1/z table of
+``special_u`` share one row step, :func:`_triangle_rows`: row n is
+new(j) = old(j-1) + w(n, j) old(j) of row n - 1, with w = j, n - 1 and
+j + 2 - 2n, the u = z, e^z and 1/z cases of boson normal ordering.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable
+from typing import Callable, Iterable
 
 
 def binomial(n: int, r: int) -> int:
@@ -34,50 +39,48 @@ def double_factorial_odd(n: int) -> int:
     return out
 
 
-# Rows 1, 2, ... of the two Stirling triangles built so far.  Each new row
-# is built from the last, so a cold call at large n does not recurse.
-_STIRLING2_ROWS: list[tuple[int, ...]] = [(1,)]
-_STIRLING1_ROWS: list[tuple[int, ...]] = [(1,)]
+_Row = tuple[int, ...]
+
+
+def _triangle_rows(weight: Callable[[int, int], int], rows: list[_Row], n: int) -> list[_Row]:
+    """Extend rows (rows[i] is row i + 1) through row n and return them:
+    row r is new(j) = old(j-1) + weight(r, j) old(j) of row r - 1 for
+    1 <= j <= r, old(0) = old(r) = 0, so large n does not recurse."""
+    for r in range(len(rows) + 1, n + 1):
+        old = (0, *rows[-1], 0)
+        rows.append(tuple(old[j - 1] + weight(r, j) * old[j] for j in range(1, r + 1)))
+    return rows
+
+
+# Rows 1, 2, ... of the two Stirling triangles built so far.
+_STIRLING2_ROWS: list[_Row] = [(1,)]
+_STIRLING1_ROWS: list[_Row] = [(1,)]
 
 
 def stirling2_row(n: int) -> tuple[int, ...]:
     """Row n of the second-kind Stirling triangle: values for m = 1..n."""
     if n < 1:
         raise ValueError("stirling2_row needs n >= 1")
-    rows = _STIRLING2_ROWS
-    for k in range(len(rows) + 1, n + 1):
-        prev = (0, *rows[-1], 0)  # prev[m] = S2(k-1, m) for 0 <= m <= k
-        rows.append(tuple(prev[m - 1] + m * prev[m] for m in range(1, k + 1)))
-    return rows[n - 1]
+    return _triangle_rows(lambda r, m: m, _STIRLING2_ROWS, n)[n - 1]
 
 
 def stirling2(n: int, m: int) -> int:
     """Partitions of an n-set into m blocks; 0 outside 1..n."""
-    if n < 1:
-        raise ValueError("stirling2 needs n >= 1")
-    if m < 1 or m > n:
-        return 0
-    return stirling2_row(n)[m - 1]
+    row = stirling2_row(n)  # a ValueError for n < 1
+    return row[m - 1] if 1 <= m <= n else 0
 
 
 def stirling1_row(n: int) -> tuple[int, ...]:
     """Row n of the unsigned first-kind Stirling triangle: m = 1..n."""
     if n < 1:
         raise ValueError("stirling1_row needs n >= 1")
-    rows = _STIRLING1_ROWS
-    for k in range(len(rows) + 1, n + 1):
-        prev = (0, *rows[-1], 0)  # prev[m] = S1(k-1, m) for 0 <= m <= k
-        rows.append(tuple(prev[m - 1] + (k - 1) * prev[m] for m in range(1, k + 1)))
-    return rows[n - 1]
+    return _triangle_rows(lambda r, m: r - 1, _STIRLING1_ROWS, n)[n - 1]
 
 
 def stirling1_unsigned(n: int, m: int) -> int:
     """Permutations of n elements with m cycles; 0 outside 1..n."""
-    if n < 1:
-        raise ValueError("stirling1_unsigned needs n >= 1")
-    if m < 1 or m > n:
-        return 0
-    return stirling1_row(n)[m - 1]
+    row = stirling1_row(n)  # a ValueError for n < 1
+    return row[m - 1] if 1 <= m <= n else 0
 
 
 def bell(n: int) -> int:

@@ -22,9 +22,10 @@ jet, and each monomial's coefficient, jet powers and degree) is read
 into a plan first.  :func:`_apply_plan` evaluates every power of a plan
 on one (u, f) pair and forms the jets, derivatives, denominators and
 norms once for all of them; each power keeps its own width.
-:func:`oracle_suite` builds one plan for the whole suite and evaluates
-all its pairs on it.  It takes each pair through every
-power: the literal side applies A once more to the last power's
+:func:`oracle_suite` is the one place that draws random (u, f) pairs;
+it builds one plan for the whole suite and evaluates all its pairs on
+it.  :func:`oracle_check` compares only the pair it is given.  The
+suite takes each pair through every power: the literal side applies A once more to the last power's
 result, the expansion side evaluates every power on (u, f) itself and
 never sees a literal result.
 
@@ -311,24 +312,10 @@ def random_polynomial(rng: random.Random, max_degree: int) -> LaurentSeries:
             return LaurentSeries.polynomial(cs)
 
 
-def _random_pair(rng: random.Random) -> tuple[LaurentSeries, LaurentSeries]:
-    """The oracle's random (u, f); the module docstring says what it misses."""
-    return random_polynomial(rng, 4), random_polynomial(rng, 6)
-
-
-def oracle_check(
-    k: int,
-    u: LaurentSeries | None = None,
-    f: LaurentSeries | None = None,
-    seed: int = 0,
-) -> VerificationReport:
-    """Compare the two routes on one (u, f) pair; a missing input is
-    taken from the seeded random pair."""
+def oracle_check(k: int, u: LaurentSeries, f: LaurentSeries) -> VerificationReport:
+    """Compare the two routes on the (u, f) pair it is given."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    drawn_u, drawn_f = _random_pair(random.Random(seed))
-    u = drawn_u if u is None else u
-    f = drawn_f if f is None else f
     report = VerificationReport(suite="oracle", k_max=k)
     location = f"k={k} u={u} f={f}"
     exp = expand(k)
@@ -347,7 +334,8 @@ def oracle_suite(k_max: int, seed: int = 0) -> VerificationReport:
     plan = _plan(expansions(k_max))
     rng = random.Random(seed)
     for trial in range(1, 51):
-        u, f = _random_pair(rng)
+        # u of degree <= 4, f of degree <= 6: the module docstring says what they miss
+        u, f = random_polynomial(rng, 4), random_polynomial(rng, 6)
         brute = f
         for (k, _, _), via_expansion in zip(plan, _apply_plan(plan, u, f)):
             brute = apply_A_repeated(u, brute, 1)

@@ -227,17 +227,15 @@ def a_table_by_recurrence(k_max: int) -> dict[tuple[int, int], int]:
 
     Starting at the single entry 1 for k = 1, one more power of
     z^-1 d/dz updates the row by  new(s) = old(s-1) - (2k-s) old(s)
-    for 1 <= s <= k+1, with old(0) = old(k+1) = 0.
+    for 1 <= s <= k+1, with old(0) = old(k+1) = 0: the combinat row
+    step with weight s + 2 - 2n for row n = k + 1.
     """
+    from .combinat import _triangle_rows
+
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    entries: dict[tuple[int, int], int] = {(1, 1): 1}
-    row = [1]
-    for k in range(1, k_max):
-        old = [0, *row, 0]
-        row = [old[s - 1] - (2 * k - s) * old[s] for s in range(1, k + 2)]
-        entries.update(((k + 1, s), v) for s, v in enumerate(row, start=1))
-    return entries
+    rows = _triangle_rows(lambda n, s: s + 2 - 2 * n, [(1,)], k_max)
+    return {(k, s): v for k, row in enumerate(rows, 1) for s, v in enumerate(row, 1)}
 
 
 def a_closed_form(k: int, s: int) -> int:

@@ -92,17 +92,23 @@ MIXED_U = P([Q(1, 3)]) + Z(1, 2) * exp_taylor(1, 12)  # u = 1/3 + 2z e^z
 DECAYING_U = Z(-1, Q(1, 2)) * exp_taylor(-2, 12) + Z(2, -1)  # u = e^(-2z) / (2z) - z^2
 
 
+def drawn_f(k):
+    """A seeded random f of degree <= 6, as the oracle suite draws them."""
+    return random_polynomial(random.Random(k), 6)
+
+
 def test_oracle_check_with_rules_and_random_inputs():
     assert oracle_check(3, u=Z(-1), f=Z(10)).ok
     assert oracle_check(2, u=exp_taylor(1, 12), f=P([0, 1, 1])).ok
     for k in range(1, 5):
-        assert oracle_check(k, u=MIXED_U, seed=k).ok
-        assert oracle_check(k, u=DECAYING_U, seed=k).ok
-    assert oracle_check(4, seed=123).ok
+        assert oracle_check(k, u=MIXED_U, f=drawn_f(k)).ok
+        assert oracle_check(k, u=DECAYING_U, f=drawn_f(k)).ok
+    rng = random.Random(123)
+    assert oracle_check(4, random_polynomial(rng, 4), random_polynomial(rng, 6)).ok
     with pytest.raises(ValueError):
-        oracle_check(0)
+        oracle_check(0, Z(1), drawn_f(0))
     with pytest.raises(TypeError):  # a substitution rule is not a series
-        oracle_check(2, u=INVERSE_Z)
+        oracle_check(2, u=INVERSE_Z, f=drawn_f(2))
 
 
 def test_random_polynomial_is_reproducible():
@@ -302,7 +308,7 @@ def test_oracle_rejects_a_corrupted_expansion():
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_oracle_with_truncated_exponential(k):
-    report = oracle_check(k, u=exp_taylor(1, 2 * k + 8), seed=k)
+    report = oracle_check(k, u=exp_taylor(1, 2 * k + 8), f=drawn_f(k))
     assert report.ok and report.checks == 1
 
 
@@ -310,13 +316,13 @@ def test_oracle_with_truncated_exponential(k):
 def test_oracle_with_mixed_exponential_rule(k):
     e, inverse_e = exp_taylor(1, 2 * k + 8), exp_taylor(-1, 2 * k + 8)
     u = P([2]) * e + Z(1) + Z(-1, 3) * inverse_e  # 2 e^z + z + 3 e^(-z) / z
-    report = oracle_check(k, u=u, seed=k)
+    report = oracle_check(k, u=u, f=drawn_f(k))
     assert report.ok and report.checks == 1
 
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_oracle_with_rational_polynomial(k):
-    report = oracle_check(k, u=P([Q(1, 2), 0, Q(-3, 4)]), seed=k)
+    report = oracle_check(k, u=P([Q(1, 2), 0, Q(-3, 4)]), f=drawn_f(k))
     assert report.ok and report.checks == 1
 
 
