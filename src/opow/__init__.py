@@ -20,13 +20,23 @@ __version__ = "0.1.0"
 
 
 class _Record:
-    """A record whose fields are its ``__slots__``: it compares equal to
-    a record of the same class with equal fields, pickles as its class
-    and the tuple of its fields (``__init__`` takes them in slot order),
-    and its repr spells ``Name(field=value, ...)``.  Defining ``__eq__``
-    alone leaves it unhashable, as a mutable record should be."""
+    """A record whose fields are its ``__slots__``, which ``__init__``
+    takes in slot order and sets: it compares equal to a record of the
+    same class with equal fields, pickles as its class and the tuple of
+    its fields, and its repr spells ``Name(field=value, ...)``.  Defining
+    ``__eq__`` alone leaves it unhashable, as a mutable record should be.
+    A subclass that checks its arguments or gives them defaults calls
+    this ``__init__`` by name, not through ``super()``, which is bound to
+    the subclass and so fails when its ``__init__`` serves another class."""
 
     __slots__ = ()
+
+    def __init__(self, *fields: object) -> None:
+        slots = self.__slots__
+        if len(fields) != len(slots):
+            raise TypeError(f"{type(self).__name__} takes {len(slots)} fields, not {len(fields)}")
+        for name, value in zip(slots, fields):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -46,8 +56,8 @@ class _Record:
 
 class _Value(_Record):
     """An immutable record: it hashes as the tuple of its fields, which
-    its ``__init__`` sets with ``object.__setattr__``; assigning or
-    deleting a field raises AttributeError."""
+    only ``_Record.__init__`` sets; assigning or deleting a field raises
+    AttributeError.  A subclass calls ``_Value.__init__`` by name."""
 
     __slots__ = ()
 
@@ -151,9 +161,7 @@ _HOMES = {
     ),
 }
 
-_SUBMODULES = frozenset(
-    ("cli", "combinat", "ctable", "diffpoly", "expansion", "report", "series", "special_u")
-)
+_SUBMODULES = frozenset((*_HOMES.values(), "cli"))
 
 __all__ = sorted(_HOMES)
 

@@ -74,10 +74,6 @@ class CTable(_Value):
     k_max: int
     entries: dict[CKey, int]
 
-    def __init__(self, k_max: int, entries: dict[CKey, int]) -> None:
-        object.__setattr__(self, "k_max", k_max)
-        object.__setattr__(self, "entries", entries)
-
     def value(self, k: int, s: int, m: int, alpha: Iterable[int]) -> int:
         """Entry lookup; 0 for any key outside the table."""
         return self.entries.get((k, s, m, trim(alpha)), 0)

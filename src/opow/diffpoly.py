@@ -134,9 +134,6 @@ class DiffPolynomial(_Value):
 
     terms: tuple[DiffMonomial, ...]
 
-    def __init__(self, terms: tuple[DiffMonomial, ...]) -> None:
-        object.__setattr__(self, "terms", terms)
-
     @classmethod
     def zero(cls) -> "DiffPolynomial":
         return cls(())

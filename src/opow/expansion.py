@@ -51,10 +51,6 @@ class OperatorExpansion(_Value):
     k: int
     coeffs: dict[int, DiffPolynomial]
 
-    def __init__(self, k: int, coeffs: dict[int, DiffPolynomial]) -> None:
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "coeffs", coeffs)
-
     @property
     def max_jet(self) -> int:
         """The highest j with u^(j) in some monomial, read from the

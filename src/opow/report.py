@@ -15,11 +15,6 @@ class Failure(_Record):
 
     __slots__ = ("location", "expected", "actual")
 
-    def __init__(self, location: str, expected: str, actual: str) -> None:
-        self.location = location
-        self.expected = expected
-        self.actual = actual
-
     def render(self) -> str:
         return f"FAIL {self.location}: expected {self.expected}, actual {self.actual}"
 
@@ -30,10 +25,7 @@ class VerificationReport(_Record):
     def __init__(
         self, suite: str, k_max: int, checks: int = 0, failures: list[Failure] | None = None
     ) -> None:
-        self.suite = suite
-        self.k_max = k_max
-        self.checks = checks
-        self.failures = [] if failures is None else failures
+        _Record.__init__(self, suite, k_max, checks, [] if failures is None else failures)
 
     @property
     def ok(self) -> bool:
@@ -48,12 +40,9 @@ class VerificationReport(_Record):
     def expect_equal(self, location: str, expected: object, actual: object) -> None:
         self.expect(expected == actual, location, expected, actual)
 
-    def status(self) -> str:
-        return "PASS" if self.ok else "FAIL"
-
     def summary(self) -> str:
         return (
-            f"[{self.status()}] {self.suite}: k_max={self.k_max} "
+            f"[{'PASS' if self.ok else 'FAIL'}] {self.suite}: k_max={self.k_max} "
             f"checks={self.checks} failures={len(self.failures)}"
         )
 

@@ -86,8 +86,7 @@ class LaurentSeries(_Value):
             lo += 1
         while hi > lo and coeffs[hi - 1] == 0:
             hi -= 1
-        object.__setattr__(self, "coeffs", tuple(coeffs[lo:hi]))
-        object.__setattr__(self, "min_exp", min_exp + lo if hi > lo else 0)
+        _Value.__init__(self, min_exp + lo if hi > lo else 0, tuple(coeffs[lo:hi]))
 
     # construction ---------------------------------------------------
 

@@ -1,6 +1,7 @@
 """The package surface and what each command loads."""
 
 import importlib
+import inspect
 import json
 import os
 import pickle
@@ -143,6 +144,30 @@ def test_records_are_immutable_values(cls, fields, text):
     copy = pickle.loads(pickle.dumps(record))
     assert type(copy) is cls and copy == record
     assert repr(record) == text
+
+
+# Each record class and argument tuples of the wrong length for it.
+WRONG_FIELD_COUNTS = [
+    *((cls, ((), fields[:-1], (*fields, None))) for cls, fields, _ in RECORDS),
+    (Failure, (("k=1", "1"), ("k=1", "1", "2", "3"))),
+    (VerificationReport, (("oracle",), ("oracle", 3, 0, [], None))),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, wrong", WRONG_FIELD_COUNTS, ids=[c.__name__ for c, _ in WRONG_FIELD_COUNTS]
+)
+def test_a_wrong_field_count_is_a_type_error_naming_the_class(cls, wrong):
+    for args in wrong:
+        with pytest.raises(TypeError, match=rf"\b{cls.__name__}\b"):
+            cls(*args)
+
+
+def test_only_the_record_base_sets_fields_with_object_setattr():
+    for path in sorted((SRC / "opow").glob("*.py")):
+        expected = 1 if path.name == "__init__.py" else 0
+        assert path.read_text().count("object.__setattr__") == expected, path.name
+    assert "object.__setattr__" in inspect.getsource(opow._Record.__init__)
 
 
 def test_reports_are_mutable_records():

@@ -20,8 +20,9 @@ K = 6
 SHARED = {
     # the recurrence builds its keys with it; the engine trims exponent tuples
     ("diffpoly.py", "trim"),
-    # the container in which the recurrence table and the extraction table are compared
-    ("ctable.py", "CTable.__init__"),
+    # the generic field setter of every record, which the engine, the recurrence
+    # and both oracle sides call to build their tables, polynomials and series
+    ("__init__.py", "_Record.__init__"),
     # both oracle sides build series and take derivatives the same way (series docstring)
     ("series.py", "LaurentSeries.__init__"),
     ("series.py", "LaurentSeries.derivative"),

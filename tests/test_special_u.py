@@ -5,6 +5,7 @@ from math import perm
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from opow import special_u
 from opow.expansion import expand, expansions
 from opow.series import LaurentSeries, apply_A_repeated
 from opow.special_u import (
@@ -170,6 +171,18 @@ def test_verify_inverse_z_table():
 def test_verify_specializations():
     report = verify_specializations(8)
     assert report.ok, report.render_lines()
+
+
+def test_a_corrupted_direct_route_fails_special_u_and_not_inverse_z(monkeypatch):
+    # special-u checks u = 1/z on expand_specialized, inverse-z on specialize(expand(k))
+    assert verify_specializations(7).ok and verify_inverse_z_table(7).ok
+    next_row = special_u._next_row
+    monkeypatch.setattr(
+        special_u, "_next_row", lambda *rows: {key: c + 1 for key, c in next_row(*rows).items()}
+    )
+    failures = verify_specializations(7).failures
+    assert len(failures) == 27 and all("u=1/z" in f.location for f in failures)
+    assert verify_inverse_z_table(7).ok
 
 
 # the direct route against specialize(expand(k)) -------------------------
