@@ -71,6 +71,17 @@ class _Value(_Record):
         return hash(self._fields())
 
 
+def _exact(c: object) -> "int | fractions.Fraction":
+    """An integral rational as int, any other as Fraction; anything
+    inexact is a TypeError.  Imports its types when called, not on load."""
+    import fractions
+    import numbers
+
+    if not isinstance(c, numbers.Rational):
+        raise TypeError(f"coefficients must be exact rationals, not {type(c).__name__}")
+    return int(c) if c.denominator == 1 else fractions.Fraction(c)
+
+
 # Each public name and the submodule that defines it.
 _HOMES = {
     **dict.fromkeys(

@@ -61,11 +61,6 @@ from .report import VerificationReport
 import math
 
 
-def _unit(s: int) -> ExponentVector:
-    """The exponent tuple with a single 1 in slot s (1-based)."""
-    return (0,) * (s - 1) + (1,)
-
-
 class CTable(_Value):
     """Read-only table of coefficient entries keyed (k, s, m, alpha)."""
 
@@ -157,22 +152,31 @@ def verify_cross_check(ext: CTable) -> VerificationReport:
     report = VerificationReport(suite="cross-check", k_max=ext.k_max)
     rec = c_table_by_recurrence(ext.k_max)
     for key in sorted(set(rec.entries) | set(ext.entries)):
-        k, s, m, alpha = key
-        loc = f"k={k} s={s} m={m} alpha={alpha}"
+        loc = "k={} s={} m={} alpha={}".format(*key)
         report.expect_equal(loc, ext.entries.get(key, "absent"), rec.entries.get(key, "absent"))
     return report
 
 
-def verify_binomial_column(table: CTable) -> VerificationReport:
-    """The m = 1 column: the entry at (k+1, s, 1, unit(s)) must equal
-    binomial(k+1, s+1), for all 1 <= s <= k <= k_max - 1."""
-    k_max = table.k_max
-    report = VerificationReport(suite="binomial", k_max=k_max)
-    for k in range(1, k_max):
-        for s in range(1, k + 1):
-            loc = f"k+1={k + 1} s={s}"
-            report.expect_equal(loc, binomial(k + 1, s + 1), table.value(k + 1, s, 1, _unit(s)))
+def _triangle_report(
+    suite: str, k_max: int, check: Callable[[int, int], tuple[str, int, int]]
+) -> VerificationReport:
+    """Walk 1 <= s < k <= k_max, k outer and s inner, both ascending; at
+    each (k, s) the (location, reference, table value) triple that
+    ``check(k, s)`` returns is one check that the two values are equal."""
+    report = VerificationReport(suite=suite, k_max=k_max)
+    for k in range(2, k_max + 1):
+        for s in range(1, k):
+            report.expect_equal(*check(k, s))
     return report
+
+
+def verify_binomial_column(table: CTable) -> VerificationReport:
+    """The m = 1 column: the entry at (k+1, s, 1, unit(s)), unit(s) the
+    exponent tuple with a single 1 in slot s, must equal
+    binomial(k+1, s+1), for all 1 <= s <= k <= k_max - 1."""
+    return _triangle_report("binomial", table.k_max, lambda k, s: (  # k: the k+1 above
+        f"k+1={k} s={s}", binomial(k, s + 1), table.value(k, s, 1, (0,) * (s - 1) + (1,))
+    ))
 
 
 def verify_stirling2_corner(table: CTable) -> VerificationReport:
@@ -181,20 +185,17 @@ def verify_stirling2_corner(table: CTable) -> VerificationReport:
     one-term recurrence sum over intermediate powers."""
     k_max = table.k_max
     report = VerificationReport(suite="stirling2", k_max=k_max)
+
+    def corner(k: int, s: int) -> int:
+        return table.value(k, s, s, (s,))
+
     for k in range(2, k_max):
         for s in range(1, k):
-            loc = f"k+1={k + 1} s={s}"
-            report.expect_equal(
-                loc, stirling2(k + 1, k - s), table.value(k + 1, s + 1, s + 1, (s + 1,))
-            )
+            report.expect_equal(f"k+1={k + 1} s={s}", stirling2(k + 1, k - s), corner(k + 1, s + 1))
     for s in range(2, k_max):
         for k in range(s + 1, k_max + 1):
-            want = sum(
-                (t - s + 1) * table.value(t, s - 1, s - 1, (s - 1,)) for t in range(s, k)
-            )
-            report.expect_equal(
-                f"corner recurrence k={k} s={s}", want, table.value(k, s, s, (s,))
-            )
+            want = sum((t - s + 1) * corner(t, s - 1) for t in range(s, k))
+            report.expect_equal(f"corner recurrence k={k} s={s}", want, corner(k, s))
     return report
 
 
@@ -209,14 +210,10 @@ def _slice_sums(table: CTable, weight: Callable[[ExponentVector], int]) -> dict[
 def verify_stirling1_total(table: CTable) -> VerificationReport:
     """Summing the table over m and alpha at fixed (k, s) gives the
     unsigned first-kind Stirling number for (k, k-s)."""
-    k_max = table.k_max
-    report = VerificationReport(suite="stirling1-sum", k_max=k_max)
     sums = _slice_sums(table, lambda alpha: 1)
-    for k in range(2, k_max + 1):
-        for s in range(1, k):
-            loc = f"k={k} s={s}"
-            report.expect_equal(loc, stirling1_unsigned(k, k - s), sums.get((k, s), 0))
-    return report
+    return _triangle_report("stirling1-sum", table.k_max, lambda k, s: (
+        f"k={k} s={s}", stirling1_unsigned(k, k - s), sums.get((k, s), 0)
+    ))
 
 
 def verify_cycle_count_total(table: CTable) -> VerificationReport:
@@ -224,29 +221,22 @@ def verify_cycle_count_total(table: CTable) -> VerificationReport:
     of k elements with exactly s cycles, computed as a sum of
     k! / prod(i^alpha_i alpha_i!) over cycle types, equals the table sum
     at upper index k - s."""
-    k_max = table.k_max
-    report = VerificationReport(suite="cycle-count", k_max=k_max)
     sums = _slice_sums(table, lambda alpha: 1)
-    for k in range(2, k_max + 1):
-        for s in range(1, k):
-            lhs = sum(cycle_type_count(alpha) for alpha in compositions(k, s))
-            loc = f"k={k} s={s}"
-            report.expect_equal(loc, lhs, sums.get((k, k - s), 0))
-    return report
+    return _triangle_report("cycle-count", table.k_max, lambda k, s: (
+        f"k={k} s={s}",
+        sum(cycle_type_count(alpha) for alpha in compositions(k, s)),
+        sums.get((k, k - s), 0),
+    ))
 
 
 def verify_factorial_weighted_total(table: CTable) -> VerificationReport:
     """Weighting each entry by prod((i!)^alpha_i) and summing over m and
     alpha at fixed (k+1, s) gives (2s-1)!! * binomial(k+s, 2s)."""
-    k_max = table.k_max
-    report = VerificationReport(suite="doublefact", k_max=k_max)
     weighted = _slice_sums(
         table, lambda alpha: math.prod(math.factorial(i) ** a for i, a in enumerate(alpha, 1))
     )
-    for kk in range(2, k_max + 1):  # kk = k + 1 in the statement
-        k = kk - 1
-        for s in range(1, kk):
-            rhs = double_factorial_odd(2 * s - 1) * binomial(k + s, 2 * s)
-            loc = f"k+1={kk} s={s}"
-            report.expect_equal(loc, rhs, weighted.get((kk, s), 0))
-    return report
+    return _triangle_report("doublefact", table.k_max, lambda k, s: (  # k: the k+1 above
+        f"k+1={k} s={s}",
+        double_factorial_odd(2 * s - 1) * binomial(k - 1 + s, 2 * s),
+        weighted.get((k, s), 0),
+    ))

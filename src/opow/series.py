@@ -61,11 +61,10 @@ from itertools import repeat
 from operator import add, mul, pos
 from typing import Callable, Iterable, Mapping, Sequence
 
-from . import _Value
+from . import _Value, _exact
 from .diffpoly import signed_join
 from .expansion import OperatorExpansion, expand, expansions
 from .report import VerificationReport
-from .special_u import _exact
 
 Exact = int | Fraction
 _INT_ONLY = frozenset({int})

@@ -41,7 +41,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
-from . import _Value
+from . import _Value, _exact
 
 if TYPE_CHECKING:
     from .expansion import OperatorExpansion
@@ -52,14 +52,6 @@ if TYPE_CHECKING:
 # representation, each with its own arithmetic.
 
 _ZFunction = dict[tuple[int, int], Rational]
-
-
-def _exact(c: object) -> int | Fraction:
-    """An integral rational as int, any other as Fraction; anything
-    inexact is a TypeError."""
-    if not isinstance(c, Rational):
-        raise TypeError(f"coefficients must be exact rationals, not {type(c).__name__}")
-    return int(c) if c.denominator == 1 else Fraction(c)
 
 
 class URule(_Value):

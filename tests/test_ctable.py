@@ -1,4 +1,5 @@
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -122,3 +123,23 @@ def test_verifier_detects_corruption():
     report = verify_binomial_column(bad)
     assert not report.ok
     assert any("k+1=3" in f.location for f in report.failures)
+
+
+def test_failure_lines_of_every_table_suite_are_pinned():
+    # every 7th entry of the extraction table, in key order, raised by 1
+    table = c_table_from_expansions(8)
+    entries = sorted(table.entries.items())
+    raised = {key: v + 1 if i % 7 == 0 else v for i, (key, v) in enumerate(entries)}
+    bad = type(table)(table.k_max, raised)
+    lines = []
+    for verifier in (
+        verify_cross_check,
+        verify_binomial_column,
+        verify_stirling2_corner,
+        verify_stirling1_total,
+        verify_cycle_count_total,
+        verify_factorial_weighted_total,
+    ):
+        lines += verifier(bad).render_lines()
+    pinned = Path(__file__).parent / "ctable_output" / "every_7th_raised_k8.txt"
+    assert "".join(line + "\n" for line in lines).encode() == pinned.read_bytes()

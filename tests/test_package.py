@@ -62,6 +62,11 @@ def test_expand_generic_skips_series_ctable_and_special_u():
     assert not loaded & {"opow.series", "opow.ctable", "opow.special_u"}
 
 
+def test_series_skips_special_u():
+    loaded = loaded_after("import opow.series")
+    assert "opow.series" in loaded and "opow.special_u" not in loaded
+
+
 def test_ctable_skips_series_and_special_u():
     loaded = loaded_after(run_main("ctable", "--k-max", "4"))
     assert "opow.ctable" in loaded
