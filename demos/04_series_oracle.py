@@ -1,11 +1,13 @@
 # The brute-force cross-check: apply A = u * d/dz to an actual Laurent
 # series, one application at a time, and compare against evaluating the
-# normal-ordered expansion on the same series.  Both routes differentiate
-# series the same way, but they form products and sums by separate
-# arithmetic (series products against one packed big-integer
-# evaluation), so exact agreement is meaningful evidence.  A derivative
-# off by a constant factor would pass it; the eigenfunction check at the
-# end, A^k z^n = n^k z^n for u = z, catches that.
+# normal-ordered expansion on the same series.  The bulk check,
+# oracle_suite, compares A^k f at z = 0 on seeded Taylor coefficients:
+# the literal side applies A to truncated jets with their own derivative
+# and product, the expansion side evaluates the coefficient polynomials
+# on the values of u's jets and f's derivatives at 0 and never
+# differentiates, so exact agreement is meaningful evidence.  The
+# eigenfunction check at the end, A^k z^n = n^k z^n for u = z, checks
+# the series derivative that the pair above shares.
 #
 # Run after installing the package:  python demos/04_series_oracle.py
 
@@ -46,7 +48,7 @@ print("A^4 f by repeated application:", brute)
 print("A^4 f via the expansion:      ", via_expansion)
 print("equal:", brute == via_expansion)
 
-# And in bulk: 50 seeded pairs, each taken through every power up to 5.
+# And in bulk: 50 seeded trials, each taken through every power up to 5 at z = 0.
 print()
 report = oracle_suite(5, seed=42)
 print(report.summary())
