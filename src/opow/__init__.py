@@ -165,6 +165,7 @@ _HOMES = {
             "expand_specialized",
             "polynomial_u",
             "specialize",
+            "specialized_rows",
             "verify_inverse_z_table",
             "verify_specializations",
         ),

@@ -5,8 +5,8 @@ Subcommands of the ``opow`` executable:
 * ``expand``    render the normal-ordered form of A^k (generic u or a
                 concrete substitution) as text, LaTeX or JSON; a
                 substitution is computed by the recurrence run directly
-                over z (``special_u.expand_specialized``), not through
-                the generic expansion
+                over z (``special_u.specialized_rows``), not through
+                the generic expansion, one P_s at a time
 * ``ctable``    dump the coefficient table as CSV or JSON
 * ``atable``    dump the signed 1/z table as CSV or JSON
 * ``stirling``  dump a Stirling triangle (kind 1 or 2) as CSV or JSON
@@ -42,7 +42,10 @@ by one coefficient or one row.  Each item is one write, flushed; the
 tables (``ctable``, ``atable``, ``stirling``) go out one power, or one
 Stirling row, per write, in CSV as in JSON, and ``ctable`` builds each
 power only when the one before it has been written; so ``opow ctable
---k-max 30 | head`` returns at once.
+--k-max 30 | head`` returns at once.  In JSON, ``expand --u`` writes each
+P_s of a substitution as soon as the direct route has built it, P_1
+after k of the k (k + 1) / 2 row steps, so ``opow expand --u poly:...
+--k 40 --format json | head`` returns at once too.
 Importing this module loads no other opow module; each subcommand imports
 the modules it runs when it runs (``expand --u`` loads only
 ``special_u``), so start-up cost follows the command.
@@ -194,11 +197,17 @@ def _special_term(t: SpecialTerm, notation: Notation) -> str:
 
 
 def _render_special(k: int, u_label: str, rule: URule, fmt: str) -> None:
-    from .special_u import expand_specialized
+    """Render A^k under the rule from its rows P_1, ..., P_k as the direct
+    route yields them; JSON writes each term as its row arrives."""
+    from itertools import chain
 
-    terms = expand_specialized(k, rule)
+    from .special_u import specialized_rows
+
+    terms = chain.from_iterable(specialized_rows(k, rule))
     if fmt == "json":
-        head = {"k": k, "u": u_label, "exp_factor": terms[0].exp_mult if terms else 0}
+        first = next(terms)  # there is one, as P_k = u^k is never zero
+        head = {"k": k, "u": u_label, "exp_factor": first.exp_mult}
+        terms = chain((first,), terms)
         _write_json(head, "terms", (_json([t.coeff, t.z_exp, t.d_order], "    ") for t in terms))
         return
     from .diffpoly import LATEX, TEXT, signed_join

@@ -15,8 +15,10 @@ rational coefficients.
 
 :func:`expand_specialized` computes these terms directly, by running
 the normal-ordering recurrence P_s <- u (P_(s-1) + P_s') over sparse
-int z-functions; it never builds the generic expansion and is what the
-CLI uses.  :func:`specialize` instead differentiates u into its jets
+int z-functions; it never builds the generic expansion.  The walk goes
+one derivative order at a time, so :func:`specialized_rows` yields each
+P_s of A^k as soon as it is built; that generator is what the CLI
+writes from.  :func:`specialize` instead differentiates u into its jets
 u, u', ..., u^(J) and substitutes them into every monomial of the
 generic expansion, one product of cached jet powers per monomial.  The
 two routes share no arithmetic, so ``specialize(expand(k), rule)`` is
@@ -39,7 +41,7 @@ import functools
 import math
 from fractions import Fraction
 from numbers import Rational
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
 from . import _Value, _exact
 
@@ -187,30 +189,50 @@ def _scaled_u(rule: URule) -> tuple[_ZFunction, int]:
     return {key: c.numerator * (scale // c.denominator) for key, c in rule.terms}, scale
 
 
-def expand_specialized(k: int, rule: URule) -> tuple[SpecialTerm, ...]:
-    """The specialized form of A^k, computed without the generic expansion.
+def specialized_rows(k: int, rule: URule) -> Iterator[tuple[SpecialTerm, ...]]:
+    """The rows P_1, ..., P_k of A^k = sum_s P_s (d/dz)^s under the rule,
+    each yielded as soon as it is built: the terms of (d/dz)^s ordered by
+    (z_exp, exp_mult), and an empty tuple for a zero P_s.
 
-    Returns exactly what ``specialize(expand(k), rule)`` returns, which
-    stays as the independent route that verifies this one.  If
-    A^k = sum_s P_s (d/dz)^s, then one more A gives P_s <- u (P_(s-1) + P_s'),
-    run here on z-functions from A^0 = (d/dz)^0.  The arithmetic is in
-    int: with D the lcm of the coefficient denominators of u, the
-    recurrence runs on D u, and (D u d/dz)^k = D^k A^k, so each
-    coefficient is divided by D^k once at the end.
+    If P_(j,s) is row s of A^j, one more A gives
+    P_(j,s) = u (P_(j-1,s-1) + P_(j-1,s)'), run here on z-functions from
+    A^0 = (d/dz)^0.  Row s of every power reads only rows s - 1 and s of
+    the power before, so the walk goes one derivative order at a time:
+    column s, P_(j,s) for j = s..k, is built from column s - 1 alone, and
+    P_s of A^k is out after k - s + 1 more steps (k for P_1).  The
+    arithmetic is in int: with D the lcm of the coefficient denominators
+    of u, the recurrence runs on D u, and (D u d/dz)^k = D^k A^k, so each
+    coefficient of A^k is divided by D^k once, as its row is yielded.
+    A k below 1 is a ValueError, raised at the first ``next``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     u, scale = _scaled_u(rule)
-    rows: list[_ZFunction] = [{(0, 0): 1}]
-    for _ in range(k):
-        padded = [{}, *rows, {}]  # P_(-1) and P_(len(rows)) are zero
-        rows = [_next_row(u, padded[s], padded[s + 1]) for s in range(len(rows) + 1)]
     denominator = scale**k
-    return tuple(
-        SpecialTerm(Fraction(c, denominator), z_exp, exp_mult, s)
-        for s, row in enumerate(rows)
-        for (z_exp, exp_mult), c in sorted(row.items())
-    )
+    # column s - 1 from power s - 1 on: P_(j,0) is zero for every j >= 1
+    lower: list[_ZFunction] = [{(0, 0): 1}] + [{}] * k
+    for s in range(1, k + 1):
+        column: list[_ZFunction] = []
+        upper: _ZFunction = {}  # P_(s-1,s) is zero
+        for below in lower[:-1]:  # P_(j-1,s-1) for j = s..k
+            upper = _next_row(u, below, upper)
+            column.append(upper)
+        yield tuple(
+            SpecialTerm(Fraction(c, denominator), z_exp, exp_mult, s)
+            for (z_exp, exp_mult), c in sorted(upper.items())
+        )
+        lower = column
+
+
+def expand_specialized(k: int, rule: URule) -> tuple[SpecialTerm, ...]:
+    """The specialized form of A^k, computed without the generic expansion:
+    the terms of :func:`specialized_rows`, ordered by (d_order, z_exp,
+    exp_mult).
+
+    Returns exactly what ``specialize(expand(k), rule)`` returns, which
+    stays as the independent route that verifies this one.
+    """
+    return tuple(term for row in specialized_rows(k, rule) for term in row)
 
 
 def a_table_by_recurrence(k_max: int) -> dict[tuple[int, int], int]:
@@ -279,10 +301,11 @@ def verify_inverse_z_table(k_max: int) -> VerificationReport:
 def verify_specializations(k_max: int) -> VerificationReport:
     """Check all three concrete substitutions for every k <= k_max.
 
-    u = z must give stirling2(k, s) on z^s (d/dz)^s with Bell-number row
-    sums; u = e^z must give stirling1_unsigned(k, s) on
-    e^(kz) (d/dz)^s with factorial row sums; u = 1/z, taken from the
-    direct route :func:`expand_specialized`, must match :func:`a_closed_form`.
+    u = z, taken from ``specialize(expand(k), IDENTITY_Z)``, must give
+    stirling2(k, s) on z^s (d/dz)^s with Bell-number row sums; u = e^z
+    must give stirling1_unsigned(k, s) on e^(kz) (d/dz)^s with factorial
+    row sums, and u = 1/z must match :func:`a_closed_form`, both taken
+    from the direct route :func:`expand_specialized`.
     """
     from .combinat import bell, stirling1_unsigned, stirling2
     from .expansion import expansions
@@ -291,13 +314,18 @@ def verify_specializations(k_max: int) -> VerificationReport:
     report = VerificationReport(suite="special-u", k_max=k_max)
     for exp in expansions(k_max):
         k = exp.k
-        # label, rule, the (z_exp, exp_mult) every term must have and its
-        # display, the reference coefficient of (d/dz)^s, and the row sum
-        for label, rule, shape, reference, row_sum in (
-            ("z", IDENTITY_Z, lambda s: ((s, 0), f"z^{s}"), stirling2, bell(k)),
-            ("exp", EXP_Z, lambda s: ((0, k), f"e^({k}z)"), stirling1_unsigned, math.factorial(k)),
+        # label, the terms, the (z_exp, exp_mult) every term must have and
+        # its display, the reference coefficient of (d/dz)^s, and the row sum
+        for label, terms, shape, reference, row_sum in (
+            ("z", specialize(exp, IDENTITY_Z), lambda s: ((s, 0), f"z^{s}"), stirling2, bell(k)),
+            (
+                "exp",
+                expand_specialized(k, EXP_Z),
+                lambda s: ((0, k), f"e^({k}z)"),
+                stirling1_unsigned,
+                math.factorial(k),
+            ),
         ):
-            terms = specialize(exp, rule)
             report.expect_equal(f"k={k} u={label} term count", k, len(terms))
             for t in terms:
                 loc = f"k={k} u={label} s={t.d_order}"

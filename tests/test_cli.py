@@ -72,13 +72,69 @@ def test_expand_special_matches_specialize_route(capsys, monkeypatch, u, fmt):
 
     def via_specialize(k, rule):
         calls.append(k)
-        return special_u.specialize(expand(k), rule)
+        terms = special_u.specialize(expand(k), rule)
+        return (tuple(t for t in terms if t.d_order == s) for s in range(1, k + 1))
 
-    monkeypatch.setattr(special_u, "expand_specialized", via_specialize)
+    monkeypatch.setattr(special_u, "specialized_rows", via_specialize)
     code, reference = run_cli(capsys, *argv)
     assert code == 0
     assert calls == [8]
     assert direct == reference
+
+
+JSON_ONE_TERM = """{{
+  "k": {k},
+  "u": "{u}",
+  "exp_factor": {exp_factor},
+  "terms": [
+    [
+      {coeff},
+      0,
+      {k}
+    ]
+  ]
+}}
+"""
+
+
+@pytest.mark.parametrize(
+    "u, k, fmt, expected",
+    [
+        # P_1 and P_2 are empty: exp_factor is read off P_3's term
+        ("poly:7", 3, "json", JSON_ONE_TERM.format(k=3, u="poly:7", exp_factor=0, coeff=343)),
+        ("poly:7", 3, "text", "A^3 = 343 D^3\n"),
+        ("poly:7", 3, "latex", r"A^{3} = 343 \left(\frac{d}{dz}\right)^{3}" "\n"),
+        ("exp", 1, "json", JSON_ONE_TERM.format(k=1, u="exp", exp_factor=1, coeff=1)),
+        ("exp", 1, "text", "A^1 = 1 e^(1z) D^1\n"),
+        ("exp", 1, "latex", r"A^{1} = 1 e^{1 z} \left(\frac{d}{dz}\right)^{1}" "\n"),
+    ],
+)
+def test_expand_special_one_term_outputs(capsys, u, k, fmt, expected):
+    code, out = run_cli(capsys, "expand", "--u", u, "--k", str(k), "--format", fmt)
+    assert (code, out) == (0, expected)
+
+
+@pytest.mark.parametrize(
+    "u, fmt, sha256",
+    [
+        ("inv-z", "json", "a15dfabc80be86fa82283884e04f3764afb0c694bb811c9bfbf231fe59ffa4c8"),
+        ("inv-z", "text", "2d1a4e842f03a4ec860b0d33eb9a09333c124f6d921e468049f3c442754fc373"),
+        ("inv-z", "latex", "9eb3cae4ed3a797758341d953d509c54266e0cc8dcd628376c33b08a007605bd"),
+        ("z", "json", "9f47827412e090855074fab4d9f18584317c8ae4cf4fbe1e3936ad39e9518bdf"),
+        ("z", "text", "1f112f7fbe45bc219cb48c30431678e7554090b3c34d804ebc0f7781f9e10b59"),
+        ("z", "latex", "73b36a7b8a6084f3b21cc79308229206036aa72a4be8e153dd755e1291aee12f"),
+        ("poly:1/2,0,-3/4", "json",
+         "1056444ba3cdece53cd6ffba60db5d4a005f092e65a196fbecc7662cb21c298a"),
+        ("poly:1/2,0,-3/4", "text",
+         "9354201fc0b731ebb35197fd5d89b565a0a6364382196fe7043db7d748705faa"),
+        ("poly:1/2,0,-3/4", "latex",
+         "e12ece01ee6e6a89fc3c6e3f701f7029fcde1bc52022795cc42c2af90349f7de"),
+    ],
+)
+def test_expand_special_k8_is_byte_for_byte_the_pinned_output(capsys, u, fmt, sha256):
+    code, out = run_cli(capsys, "expand", "--u", u, "--k", "8", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_expand_latex(capsys):
@@ -506,6 +562,28 @@ def test_closed_pipe_exits_quietly():
     # while opow is still writing entries
     ctable_json = read_one_line_and_close("ctable", "--k-max", "12", "--format", "json")
     assert ctable_json == (b"{\n", b"", 141)
+
+
+def test_closed_pipe_ends_expand_u_after_its_first_row():
+    # the pipe is closed before opow starts, so the first write fails; it
+    # comes after the k row steps that build P_1, of the k (k + 1) / 2 in all
+    script = """
+import atexit, sys
+from opow import cli, special_u
+calls = []
+next_row = special_u._next_row
+special_u._next_row = lambda *rows: calls.append(1) or next_row(*rows)
+atexit.register(lambda: print(len(calls), file=sys.stderr))
+sys.argv = ["opow", "expand", "--u", "poly:-3/2,2,-1,3", "--k", "40", "--format", "json"]
+cli.run()
+"""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = python_child("-c", script, stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, "40\n")
 
 
 def test_closed_pipe_ends_a_long_table_early():

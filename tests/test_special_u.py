@@ -1,3 +1,4 @@
+import inspect
 import pickle
 from fractions import Fraction
 from math import perm
@@ -19,6 +20,7 @@ from opow.special_u import (
     expand_specialized,
     polynomial_u,
     specialize,
+    specialized_rows,
     verify_inverse_z_table,
     verify_specializations,
 )
@@ -174,15 +176,58 @@ def test_verify_specializations():
 
 
 def test_a_corrupted_direct_route_fails_special_u_and_not_inverse_z(monkeypatch):
-    # special-u checks u = 1/z on expand_specialized, inverse-z on specialize(expand(k))
+    # special-u checks u = e^z and 1/z on expand_specialized, inverse-z on
+    # specialize(expand(k))
     assert verify_specializations(7).ok and verify_inverse_z_table(7).ok
     next_row = special_u._next_row
     monkeypatch.setattr(
         special_u, "_next_row", lambda *rows: {key: c + 1 for key, c in next_row(*rows).items()}
     )
     failures = verify_specializations(7).failures
-    assert len(failures) == 27 and all("u=1/z" in f.location for f in failures)
+    assert len(failures) == 62
+    assert sum("u=exp" in f.location for f in failures) == 35
+    assert sum("u=1/z" in f.location for f in failures) == 27
     assert verify_inverse_z_table(7).ok
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("+ c * m", "- c * m"),
+        ("+ c * m", "+ c + m"),
+        ("inner.get((a, m), 0)", "inner.get((a, m), 1)"),
+        ("pm + qm", "pm - qm"),
+    ],
+)
+def test_a_mutant_of_the_exp_branch_of_the_direct_route_fails_special_u(monkeypatch, old, new):
+    # each edit touches only terms with an e^(mz) factor, so u = z and
+    # 1/z pass and only u = e^z, taken from the direct route, can see it
+    source = inspect.getsource(special_u._next_row)
+    assert source.count(old) == 1
+    namespace = dict(vars(special_u))
+    exec(compile(source.replace(old, new), special_u.__file__, "exec"), namespace)
+    monkeypatch.setattr(special_u, "_next_row", namespace["_next_row"])
+    failures = verify_specializations(7).failures
+    assert failures and all("u=exp" in f.location for f in failures)
+
+
+def test_specialized_rows_yields_each_row_as_soon_as_it_is_built(monkeypatch):
+    calls = []
+    next_row = special_u._next_row
+    monkeypatch.setattr(special_u, "_next_row", lambda *rows: calls.append(1) or next_row(*rows))
+    k, rule = 16, polynomial_u([Q(-3, 2), 2, -1, 3])
+    rows = specialized_rows(k, rule)
+    assert calls == []
+    first = next(rows)
+    # P_1 of A^k is row 1 of A^1, ..., A^k: one step per power
+    assert len(calls) == k
+    rest = list(rows)
+    assert len(calls) == k * (k + 1) // 2
+    assert all(t.d_order == s for s, row in enumerate((first, *rest), 1) for t in row)
+    # a zero P_s is an empty row: u = 7 gives A^3 = 343 D^3
+    assert tuple(specialized_rows(3, polynomial_u([7]))) == ((), (), terms((343, 0, 0, 3)))
+    with pytest.raises(ValueError):
+        next(specialized_rows(0, IDENTITY_Z))
 
 
 # the direct route against specialize(expand(k)) -------------------------
