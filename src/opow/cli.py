@@ -36,16 +36,16 @@ just before the process frees them all.  ``atexit`` callbacks registered
 before it (coverage's, a profiler's) still run; importing this module or
 calling ``main`` changes nothing.
 
-Output is streamed: JSON is spelled here as ``json.dumps(indent=2)`` spells
-it and written one P_s, term, entry or row at a time, so memory is bounded
-by one coefficient or one row.  Each item is one write, flushed; the
-tables (``ctable``, ``atable``, ``stirling``) go out one power, or one
-Stirling row, per write, in CSV as in JSON, and ``ctable`` builds each
-power only when the one before it has been written; so ``opow ctable
---k-max 30 | head`` returns at once.  In JSON, ``expand --u`` writes each
-P_s of a substitution as soon as the direct route has built it, P_1
-after k of the k (k + 1) / 2 row steps, so ``opow expand --u poly:...
---k 40 --format json | head`` returns at once too.
+Output is streamed by one rule: every command's output is a stream of
+chunks, each written and flushed as soon as it is built.  A chunk is one
+P_s of a generic expansion, one nonzero row P_s of a substitution, one
+table power or Stirling row, or one suite report or ``verify``'s overall
+line; a JSON head (spelled as ``json.dumps(indent=2)`` spells it) goes
+with the first chunk, and the close or final newline is a chunk of its
+own.  So memory is bounded by one coefficient or one row; ``ctable``
+builds each power after the one before it is out, and ``expand --u``
+writes P_1 after k of its k (k + 1) / 2 row steps: ``opow ctable --k-max
+30 | head`` and ``opow expand --u poly:... --k 40 | head`` return at once.
 Importing this module loads no other opow module; each subcommand imports
 the modules it runs when it runs (``expand --u`` loads only
 ``special_u``), so start-up cost follows the command.
@@ -60,7 +60,8 @@ import functools
 import gc
 import os
 import sys
-from typing import TYPE_CHECKING, Callable, Iterable
+from itertools import chain
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 if TYPE_CHECKING:
     from types import ModuleType
@@ -139,24 +140,30 @@ def _json(v: object, pad: str) -> str:
     return f'"{text}"' if isinstance(v, str) or "/" in text else text
 
 
-def _write_json(head: dict[str, object], key: str, items: Iterable[str]) -> None:
-    """Write ``{**head, key: [...]}`` as ``print(json.dumps(..., indent=2))``
-    would, one list item per write, the head with the first, flushing stdout
-    after each; each item is spelled at indentation 4."""
-    write = sys.stdout.write
+def _write(chunks: Iterable[str]) -> None:
+    """Write each chunk of command output to stdout and flush it: the one writer."""
+    out = sys.stdout
+    for chunk in chunks:
+        out.write(chunk)
+        out.flush()
+
+
+def _json_chunks(head: dict[str, object], key: str, items: Iterable[str]) -> Iterator[str]:
+    """``{**head, key: [...]}`` as ``print(json.dumps(..., indent=2))`` writes it: one
+    list item (spelled at indentation 4) per chunk, the head with the first."""
     opening = _json(head, "")[:-2] + f',\n  "{key}": ['  # head without its closing "\n}"
     sep = opening + "\n    "
     for item in items:
-        write(sep + item)
-        sys.stdout.flush()
+        yield sep + item
         sep = ",\n    "
-    write("\n  ]\n}\n" if sep == ",\n    " else opening + "]\n}\n")
+    yield "\n  ]\n}\n" if sep == ",\n    " else opening + "]\n}\n"
 
 
 # expand rendering -----------------------------------------------------
 
 
-def _render_generic(k: int, fmt: str) -> None:
+def _generic_chunks(k: int, fmt: str) -> Iterator[str]:
+    """A^k for a generic u, one P_s per chunk."""
     from .expansion import expand
 
     exp = expand(k)
@@ -171,17 +178,16 @@ def _render_generic(k: int, fmt: str) -> None:
             + "\n      ]\n    }"
             for s, p in sorted(exp.coeffs.items())
         )
-        _write_json({"k": k, "u": "generic"}, "terms", items)
+        yield from _json_chunks({"k": k, "u": "generic"}, "terms", items)
         return
     from .diffpoly import LATEX, TEXT
 
     notation = TEXT if fmt == "text" else LATEX
     power = notation.power.format
-    write = sys.stdout.write
     for s in range(1, k + 1):
         group = notation.group.format(exp.coeffs[s].render(notation))
-        write((" + " if s > 1 else power("A", k) + " = ") + group + power(notation.d, s))
-    write("\n")
+        yield (" + " if s > 1 else power("A", k) + " = ") + group + power(notation.d, s)
+    yield "\n"
 
 
 def _special_term(t: SpecialTerm, notation: Notation) -> str:
@@ -196,25 +202,30 @@ def _special_term(t: SpecialTerm, notation: Notation) -> str:
     return " ".join(factors)
 
 
-def _render_special(k: int, u_label: str, rule: URule, fmt: str) -> None:
-    """Render A^k under the rule from its rows P_1, ..., P_k as the direct
-    route yields them; JSON writes each term as its row arrives."""
-    from itertools import chain
-
+def _special_chunks(k: int, u_label: str, rule: URule, fmt: str) -> Iterator[str]:
+    """A^k under the rule, one nonzero row P_s per chunk, as the direct route builds it."""
     from .special_u import specialized_rows
 
-    terms = chain.from_iterable(specialized_rows(k, rule))
+    rows = (row for row in specialized_rows(k, rule) if row)
     if fmt == "json":
-        first = next(terms)  # there is one, as P_k = u^k is never zero
-        head = {"k": k, "u": u_label, "exp_factor": first.exp_mult}
-        terms = chain((first,), terms)
-        _write_json(head, "terms", (_json([t.coeff, t.z_exp, t.d_order], "    ") for t in terms))
+        first = next(rows)  # there is one, as P_k = u^k is never zero
+        head = {"k": k, "u": u_label, "exp_factor": first[0].exp_mult}
+        items = (
+            ",\n    ".join(_json([t.coeff, t.z_exp, t.d_order], "    ") for t in row)
+            for row in chain((first,), rows)
+        )
+        yield from _json_chunks(head, "terms", items)
         return
     from .diffpoly import LATEX, TEXT, signed_join
 
     notation = TEXT if fmt == "text" else LATEX
-    body = signed_join((t.coeff, _special_term(t, notation)) for t in terms)
-    print(notation.power.format("A", k) + " = " + body)
+    lead = notation.power.format("A", k) + " = "
+    for row in rows:
+        text = signed_join((t.coeff, _special_term(t, notation)) for t in row)
+        # a later row goes on with the sum, as signed_join spells it: "+ x" or "- x"
+        yield lead + text if lead else (" + " + text if row[0].coeff > 0 else " - " + text[1:])
+        lead = ""
+    yield "\n"
 
 
 def _parse_u(parser: argparse.ArgumentParser, choice: str) -> URule | None:
@@ -250,9 +261,9 @@ def cmd_expand(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     _check_cap(parser, "--k", args.k, 1)
     rule = _parse_u(parser, args.u)
     if rule is None:
-        _render_generic(args.k, args.format)
+        _write(_generic_chunks(args.k, args.format))
     else:
-        _render_special(args.k, args.u, rule, args.format)
+        _write(_special_chunks(args.k, args.u, rule, args.format))
     return 0
 
 
@@ -264,25 +275,22 @@ def _cell(v: object) -> str:
     return ";".join(map(str, v)) if isinstance(v, tuple) else str(v)
 
 
-def _emit(
+def _table_chunks(
     fmt: str, meta: dict[str, int], fields: tuple[str, ...], groups: Iterable[list[tuple]]
-) -> None:
-    """Write a table one group of rows (one power, or one Stirling row) per
-    write, flushing stdout after each.  CSV is a header line, sent with the
-    first group, then one line per row with a tuple field joined by ';'.
-    JSON is ``meta`` plus "entries", one object per row, with a tuple field
-    as a list."""
-    if fmt == "csv":
-        text = ",".join(fields) + "\n"
-        for rows in groups:
-            text += "".join(",".join(map(_cell, row)) + "\n" for row in rows)
-            sys.stdout.write(text)
-            sys.stdout.flush()
-            text = ""
-    else:
+) -> Iterator[str]:
+    """A table, one group of rows (one power, or one Stirling row) per
+    chunk.  CSV is a header line, sent with the first group, then one line
+    per row with a tuple field joined by ';'.  JSON is ``meta`` plus
+    "entries", one object per row, with a tuple field as a list."""
+    if fmt == "json":
         join = ",\n    ".join
         items = (join(_json(dict(zip(fields, row)), "    ") for row in rows) for rows in groups)
-        _write_json(meta, "entries", items)
+        yield from _json_chunks(meta, "entries", items)
+        return
+    header = ",".join(fields) + "\n"
+    for rows in groups:
+        yield header + "".join(",".join(map(_cell, row)) + "\n" for row in rows)
+        header = ""
 
 
 def cmd_ctable(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
@@ -290,7 +298,8 @@ def cmd_ctable(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     from .ctable import c_table_powers
 
     powers = ([(*key, v) for key, v in power] for power in c_table_powers(args.k_max))
-    _emit(args.format, {"k_max": args.k_max}, ("k", "s", "m", "alpha", "value"), powers)
+    fields = ("k", "s", "m", "alpha", "value")
+    _write(_table_chunks(args.format, {"k_max": args.k_max}, fields, powers))
     return 0
 
 
@@ -301,7 +310,7 @@ def cmd_atable(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     table = a_table_by_recurrence(args.k_max)
     ks = range(1, args.k_max + 1)
     powers = ([(k, s, table[k, s]) for s in range(1, k + 1)] for k in ks)
-    _emit(args.format, {"k_max": args.k_max}, ("k", "s", "value"), powers)
+    _write(_table_chunks(args.format, {"k_max": args.k_max}, ("k", "s", "value"), powers))
     return 0
 
 
@@ -313,10 +322,10 @@ def cmd_stirling(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     ns = range(1, args.n_max + 1)
     if args.format == "csv":
         rows = ([(n, m, v) for m, v in enumerate(row(n), start=1)] for n in ns)
-        _emit("csv", {}, ("n", "m", "value"), rows)
+        _write(_table_chunks("csv", {}, ("n", "m", "value"), rows))
     else:
         head = {"kind": args.kind, "n_max": args.n_max}
-        _write_json(head, "rows", (_json(row(n), "    ") for n in ns))
+        _write(_json_chunks(head, "rows", (_json(row(n), "    ") for n in ns)))
     return 0
 
 
@@ -332,11 +341,11 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     checks = failures = 0
     for name in names:
         report = _SUITES[name](args.k_max, args.seed, table)
-        print("\n".join(report.render_lines()), flush=True)
+        _write(["\n".join(report.render_lines()) + "\n"])
         checks += report.checks
         failures += len(report.failures)
     status = "PASS" if failures == 0 else "FAIL"
-    print(f"overall: {status} suites={len(names)} checks={checks} failures={failures}")
+    _write([f"overall: {status} suites={len(names)} checks={checks} failures={failures}\n"])
     return 0 if failures == 0 else 1
 
 
@@ -411,7 +420,8 @@ def run() -> None:
     A stdout left None (fd 1 closed) is such an error, found before
     ``main`` runs.  Even when PYTHONUNBUFFERED is set, stdout holds each
     write until flushed, because argparse drops the OSError of the write
-    of ``--help``; every streaming writer flushes each item itself.
+    of ``--help``; a command's output goes through one writer, which
+    flushes each chunk as it writes it.
 
     At exit the interpreter skips its final cyclic garbage collection,
     which would walk every object of every loaded module (about 10 ms)

@@ -269,30 +269,56 @@ class WriteRecorder:
         self.log.append(None)
 
 
-def test_ctable_writes_one_power_per_write_and_flushes_it(monkeypatch):
-    out = WriteRecorder()
-    monkeypatch.setattr(sys, "stdout", out)
-    assert main(["ctable", "--k-max", "12"]) == 0
-    writes = out.log[::2]
-    assert len(out.log) == 2 * 11
-    assert out.log[1::2] == [None] * 11
-    assert writes[0] == "k,s,m,alpha,value\n2,1,1,1,1\n"
-    for k, text in enumerate(writes[1:], start=3):
-        assert {line.split(",")[0] for line in text.splitlines()} == {str(k)}
+POLY_16 = ("expand", "--u", "poly:3/2,2,-1,3", "--k", "16")
+JSON_CLOSE = "\n  ]\n}\n"
+CHUNKS = [
+    # one chunk per nonzero row P_s, then the close or the final newline
+    ((*POLY_16, "--format", "json"), 17, '{\n  "k": 16,\n  "u": "poly:3/2,2,-1,3",', JSON_CLOSE),
+    ((*POLY_16, "--format", "text"), 17, "A^16 = 3521381748454859331/64 D^1 + ", "\n"),
+    ((*POLY_16, "--format", "latex"), 17, "A^{16} = 3521381748454859331/64 ", "\n"),
+    # u = 7: P_1 and P_2 of A^3 = 343 D^3 are zero and write nothing
+    (
+        ("expand", "--u", "poly:7", "--k", "3", "--format", "json"),
+        2,
+        '{\n  "k": 3,\n  "u": "poly:7",\n  "exp_factor": 0,\n  "terms": [\n    [\n      343,\n'
+        "      0,\n      3\n    ]",
+        JSON_CLOSE,
+    ),
+    (("expand", "--u", "poly:7", "--k", "3"), 2, "A^3 = 343 D^3", "\n"),
+    # one chunk per P_s of the generic expansion
+    (("expand", "--k", "8", "--format", "json"), 9, '{\n  "k": 8,\n  "u": "generic",', JSON_CLOSE),
+    (("expand", "--k", "8"), 9, "A^8 = (u (u')^7 + 120 ", "\n"),
+    (("expand", "--k", "8", "--format", "latex"), 9, r"A^{8} = \left(", "\n"),
+    # one chunk per table power or Stirling row; CSV has no close
+    (("ctable", "--k-max", "12"), 11, "k,s,m,alpha,value\n2,1,1,1,1\n", "12,1,1,1,66\n"),
+    (
+        ("ctable", "--k-max", "12", "--format", "json"),
+        12,
+        '{\n  "k_max": 12,\n  "entries": [\n    {\n      "k": 2,',
+        JSON_CLOSE,
+    ),
+    (("atable", "--k-max", "6"), 6, "k,s,value\n1,1,1\n", "6,1,-945\n"),
+    (("atable", "--k-max", "6", "--format", "json"), 7, '{\n  "k_max": 6,', JSON_CLOSE),
+    (("stirling", "--kind", "1"), 10, "n,m,value\n1,1,1\n", "10,1,362880\n"),
+    (("stirling", "--kind", "1", "--format", "json"), 11, '{\n  "kind": 1,', JSON_CLOSE),
+    # one chunk per suite report, then the overall line
+    (
+        ("verify", "--suite", "all", "--k-max", "7", "--seed", "1"),
+        11,
+        "[PASS] closed-form: k_max=7 checks=12 failures=0\n",
+        "overall: PASS suites=10 checks=768 failures=0\n",
+    ),
+]
+CHUNK_IDS = ["-".join(arg.lstrip("-") for arg in argv) for argv, *_ in CHUNKS]
 
 
-def test_table_json_writes_one_power_or_row_per_write(monkeypatch):
+@pytest.mark.parametrize("argv, writes, first, last", CHUNKS, ids=CHUNK_IDS)
+def test_each_chunk_is_one_write_flushed_at_once(monkeypatch, argv, writes, first, last):
     out = WriteRecorder()
     monkeypatch.setattr(sys, "stdout", out)
-    assert main(["ctable", "--k-max", "12", "--format", "json"]) == 0
-    # the head with the k = 2 entry, one write per later power, then the close
-    assert out.log[1::2] == [None] * 11
-    assert out.log[0].startswith('{\n  "k_max": 12,\n  "entries": [\n    {\n      "k": 2,')
-    assert out.log[-1] == "\n  ]\n}\n" and len(out.log) == 23
-    for argv, groups in ((["atable", "--k-max", "6"], 6), (["stirling", "--kind", "1"], 10)):
-        out.log.clear()
-        assert main([*argv, "--format", "json"]) == 0
-        assert out.log[1::2] == [None] * groups and len(out.log) == 2 * groups + 1
+    assert main(list(argv)) == 0
+    assert out.log[1::2] == [None] * writes and len(out.log) == 2 * writes
+    assert out.log[0].startswith(first) and out.log[-2].startswith(last)
 
 
 def test_atable_csv(capsys):
@@ -350,11 +376,11 @@ def test_json_round_trips(capsys):
         ([{"alpha": (1, 2), "value": 5, "none": {}}], [{"alpha": [1, 2], "value": 5, "none": {}}]),
     ],
 )
-def test_json_writer_spells_what_json_dumps_writes(capsys, items, plain):
+def test_json_writer_spells_what_json_dumps_writes(items, plain):
     # no command writes an empty list or dict, so they are checked here
     head = {"k": 2, "u": "poly:-1/2,3"}
-    cli._write_json(head, "terms", (cli._json(item, "    ") for item in items))
-    assert capsys.readouterr().out == json.dumps({**head, "terms": plain}, indent=2) + "\n"
+    chunks = cli._json_chunks(head, "terms", (cli._json(item, "    ") for item in items))
+    assert "".join(chunks) == json.dumps({**head, "terms": plain}, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -564,17 +590,18 @@ def test_closed_pipe_exits_quietly():
     assert ctable_json == (b"{\n", b"", 141)
 
 
-def test_closed_pipe_ends_expand_u_after_its_first_row():
+@pytest.mark.parametrize("fmt", ["json", "text", "latex"])
+def test_closed_pipe_ends_expand_u_after_its_first_row(fmt):
     # the pipe is closed before opow starts, so the first write fails; it
     # comes after the k row steps that build P_1, of the k (k + 1) / 2 in all
-    script = """
+    script = f"""
 import atexit, sys
 from opow import cli, special_u
 calls = []
 next_row = special_u._next_row
 special_u._next_row = lambda *rows: calls.append(1) or next_row(*rows)
 atexit.register(lambda: print(len(calls), file=sys.stderr))
-sys.argv = ["opow", "expand", "--u", "poly:-3/2,2,-1,3", "--k", "40", "--format", "json"]
+sys.argv = ["opow", "expand", "--u", "poly:-3/2,2,-1,3", "--k", "40", "--format", "{fmt}"]
 cli.run()
 """
     read, write = os.pipe()
