@@ -20,7 +20,6 @@ from opow import (
     eigenfunction_report,
     expand,
     oracle_suite,
-    random_polynomial,
 )
 
 # Monomials are eigenfunctions of the Euler operator: (z d/dz)^k z^n = n^k z^n.
@@ -37,8 +36,8 @@ for k in range(1, 4):
 
 # One random pair, both routes, side by side.
 rng = random.Random(2024)
-u = random_polynomial(rng, 4)
-f = random_polynomial(rng, 6)
+u = LaurentSeries.polynomial([rng.randint(-9, 9) for _ in range(5)])
+f = LaurentSeries.polynomial([rng.randint(-9, 9) for _ in range(7)])
 print()
 print("u =", u)
 print("f =", f)

@@ -149,7 +149,6 @@ _HOMES = {
             "eigenfunction_report",
             "oracle_check",
             "oracle_suite",
-            "random_polynomial",
         ),
         "series",
     ),

@@ -14,9 +14,11 @@ Subcommands of the ``opow`` executable:
                 report as soon as its suite ends
 
 Exit codes: 0 all checks pass / output produced, 1 a verification
-failed, 2 usage error, 74 the output could not be written (EX_IOERR of
-sysexits.h: a full disk, say), 141 the reader closed the output pipe
-early (the code a shell reports for a writer killed by SIGPIPE);
+failed (a guard that trips inside a suite is that suite's failed check),
+2 usage error, 70 an internal error (EX_SOFTWARE of sysexits.h: a bug,
+or memory ran out), 74 the output could not be written (EX_IOERR: a
+full disk, say), 141 the reader closed the output pipe early (the code
+a shell reports for a writer killed by SIGPIPE);
 ``--help`` follows the same rule for 74 and 141, and both hold with
 stdout unbuffered (PYTHONUNBUFFERED) as without it.  A stdout closed
 before the start (``opow verify >&-``) exits 74 before any work.  The
@@ -340,7 +342,11 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     table = functools.cache(lambda: _module("ctable").c_table_from_expansions(args.k_max))
     checks = failures = 0
     for name in names:
-        report = _SUITES[name](args.k_max, args.seed, table)
+        try:
+            report = _SUITES[name](args.k_max, args.seed, table)
+        except ArithmeticError as err:  # a guard inside the suite tripped
+            report = _module("report").VerificationReport(name, args.k_max)
+            report.expect(False, "guard", "no error", f"{type(err).__name__}: {err}")
         _write(["\n".join(report.render_lines()) + "\n"])
         checks += report.checks
         failures += len(report.failures)
@@ -414,8 +420,12 @@ def run() -> None:
     the run with exit code 141 and no traceback; any other error writing
     the output (``opow verify > /dev/full``) ends it with one stderr line,
     written if stderr can take it, and exit code 74.  ``--help`` follows
-    the same rule.  Python's limit on the digits of an int rendered as a
-    string is lifted, so output stays exact at every size.
+    the same rule.  Any other exception that escapes a command ends the
+    run with one stderr line, ``opow: internal error: <type>[: <message>]``,
+    written if stderr can take it, and exit code 70; exit code 1 stays a
+    failed check, a guard that trips inside a ``verify`` suite included.
+    Python's limit on the digits of an int rendered as a string is
+    lifted, so output stays exact at every size.
 
     A stdout left None (fd 1 closed) is such an error, found before
     ``main`` runs.  Even when PYTHONUNBUFFERED is set, stdout holds each
@@ -453,11 +463,19 @@ def run() -> None:
             os.dup2(devnull, sys.stdout.fileno())
         if isinstance(err, BrokenPipeError):
             sys.exit(141)  # 128 + SIGPIPE
-        try:
-            print(f"opow: cannot write output: {err}", file=sys.stderr)
-        except OSError:
-            # stderr fails too, so the exit code alone tells; point stderr at
-            # devnull as well, so that its flush at exit cannot fail
-            os.dup2(devnull, sys.stderr.fileno())
+        _complain(f"cannot write output: {err}")
         sys.exit(74)  # EX_IOERR of sysexits.h
+    except Exception as err:  # a bug, or memory ran out: not a failed check
+        detail = f"{type(err).__name__}: {err}" if str(err) else type(err).__name__
+        _complain(f"internal error: {detail}")
+        sys.exit(70)  # EX_SOFTWARE of sysexits.h
     sys.exit(code)
+
+
+def _complain(message: str) -> None:
+    """Write ``opow: <message>`` to stderr if it can take it, else point
+    stderr at devnull, so that its flush at exit cannot fail."""
+    try:
+        print(f"opow: {message}", file=sys.stderr)
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())

@@ -97,7 +97,7 @@ def extract_F(exp: OperatorExpansion, m: int, s: int) -> DiffPolynomial:
     Valid for 1 <= m <= s <= k-1.  The block is the entries of
     :func:`extract_C` at (s, m), each alpha read back as the monomial
     u^0 (u')^alpha_1 (u'')^alpha_2 ...; so a monomial that breaks the
-    degree or weight invariant raises ValueError here too.
+    degree or weight invariant raises ArithmeticError here too.
     """
     k = exp.k
     if not 1 <= m <= s <= k - 1:
@@ -111,9 +111,9 @@ def extract_C(exp: OperatorExpansion) -> list[tuple[CKey, int]]:
     power k.
 
     Every monomial of coeffs[j] for j < k yields one entry with
-    s = k - j and m = k - (u-exponent).  Monomials that violate the
-    degree or weight constraints are reported as corruption instead of
-    being reinterpreted.
+    s = k - j and m = k - (u-exponent).  A monomial that violates the
+    degree or weight constraint raises ArithmeticError instead of being
+    reinterpreted; a k below 2 is a ValueError.
     """
     k = exp.k
     if k < 2:
@@ -123,7 +123,7 @@ def extract_C(exp: OperatorExpansion) -> list[tuple[CKey, int]]:
         s = k - j
         for mono in exp.coeffs[j].terms:
             if degree(mono.exps) != k or weight(mono.exps) != k - j:
-                raise ValueError(
+                raise ArithmeticError(
                     f"invariant violation in coeffs[{j}] of A^{k}: monomial {mono}"
                 )
             u_exp, *alpha = mono.exps

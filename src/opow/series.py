@@ -51,8 +51,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import repeat
-from operator import add, mul
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import _Value, _exact
@@ -116,25 +115,21 @@ class LaurentSeries(_Value):
         return LaurentSeries(m - 1, coeffs)
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        a, b = self, other
-        if a.min_exp > b.min_exp:
-            a, b = b, a
-        i = b.min_exp - a.min_exp
-        j = i + len(b.coeffs)
-        out = list(a.coeffs)
-        out.extend(repeat(0, j - len(out)))
-        out[i:j] = map(add, out[i:j], b.coeffs)
-        return LaurentSeries(a.min_exp, tuple(out))
+        a, b = (self, other) if self.min_exp <= other.min_exp else (other, self)
+        shift = b.min_exp - a.min_exp
+        out = list(a.coeffs) + [0] * (shift + len(b.coeffs) - len(a.coeffs))
+        for i, c in enumerate(b.coeffs, shift):
+            out[i] += c
+        return LaurentSeries(a.min_exp, out)
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        # dense convolution, one slice update per coefficient of the shorter factor
-        a, b = sorted((self.coeffs, other.coeffs), key=len)
-        out = [0] * max(len(a) + len(b) - 1, 0)
-        for i, ca in enumerate(a):
-            out[i : i + len(b)] = map(add, out[i : i + len(b)], map(mul, repeat(ca), b))
-        return LaurentSeries(self.min_exp + other.min_exp, tuple(out))
+        out = [0] * max(len(self.coeffs) + len(other.coeffs) - 1, 0)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return LaurentSeries(self.min_exp + other.min_exp, out)
 
     __rmul__ = __mul__
 
@@ -180,14 +175,6 @@ def apply_expansion(
             by_degree[d] = by_degree.get(d, zero) + term
     unscaled = (t * LaurentSeries.z_power(0, Fraction(1, scale**d)) for d, t in by_degree.items())
     return sum(unscaled, zero)
-
-
-def random_polynomial(rng: random.Random, max_degree: int) -> LaurentSeries:
-    """Nonzero polynomial with integer coefficients in [-9, 9]."""
-    while True:
-        cs = [rng.randint(-9, 9) for _ in range(max_degree + 1)]
-        if any(cs):
-            return LaurentSeries.polynomial(cs)
 
 
 def oracle_check(k: int, u: LaurentSeries, f: LaurentSeries) -> VerificationReport:

@@ -793,6 +793,61 @@ cli.run()
     ]
 
 
+def opow_with_a_raising_stub(target, error, *argv):
+    """``python -m opow *argv`` run to its end in a fresh interpreter, with
+    the opow attribute ``target`` ("module.name") replaced by a stub that
+    raises ``error``, a Python expression."""
+    module, name = target.split(".")
+    script = f"""
+import runpy, sys
+from opow import {module}
+
+def stub(*args, **kwargs):
+    raise {error}
+
+{module}.{name} = stub
+sys.argv = ["opow", *{list(argv)!r}]
+runpy.run_module("opow", run_name="__main__")
+"""
+    return python_child("-c", script, capture_output=True, text=True)
+
+
+GUARD = "no recurrence reaches entry (3, 1, 1, (1,))"
+
+
+def test_a_guard_tripping_inside_verify_is_that_suites_failed_check(capsys, monkeypatch):
+    def c_table_powers(k_max):
+        raise ArithmeticError(GUARD)
+
+    monkeypatch.setattr(ctable, "c_table_powers", c_table_powers)
+    argv = ("verify", "--suite", "all", "--k-max", "4")
+    in_process = run_cli(capsys, *argv)
+    proc = opow_with_a_raising_stub("ctable.c_table_powers", f"ArithmeticError({GUARD!r})", *argv)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert in_process == (1, proc.stdout)
+    lines = proc.stdout.splitlines()
+    assert lines[1:3] == [
+        "[FAIL] cross-check: k_max=4 checks=1 failures=1",
+        f"  FAIL guard: expected no error, actual ArithmeticError: {GUARD}",
+    ]
+    # every suite reports, the ones after the tripped guard included
+    summaries = [line for line in lines if line.startswith("[")]
+    assert [line.split()[1] for line in summaries] == [f"{name}:" for name in cli.SUITE_ORDER]
+    assert lines[-1] == "overall: FAIL suites=10 checks=323 failures=1"
+
+
+@pytest.mark.parametrize(
+    "error, detail",
+    [("TypeError('bad operand')", "TypeError: bad operand"), ("MemoryError()", "MemoryError")],
+    ids=["TypeError", "MemoryError"],
+)
+def test_an_internal_error_exits_70_with_one_line(error, detail):
+    # 70 is EX_SOFTWARE: neither a failed check (1) nor a traceback
+    proc = opow_with_a_raising_stub("expansion.expand", error, "expand", "--k", "6")
+    assert (proc.returncode, proc.stdout) == (70, "")
+    assert proc.stderr == f"opow: internal error: {detail}\n"
+
+
 class FlushRecorder(io.StringIO):
     """A text stream that remembers what it held at its last flush."""
 

@@ -16,7 +16,6 @@ from opow.series import (
     eigenfunction_report,
     oracle_check,
     oracle_suite,
-    random_polynomial,
 )
 from opow.special_u import INVERSE_Z, polynomial_u
 
@@ -93,8 +92,9 @@ DECAYING_U = Z(-1, Q(1, 2)) * exp_taylor(-2, 12) + Z(2, -1)  # u = e^(-2z) / (2z
 
 
 def drawn_f(k):
-    """A seeded random f of degree <= 6, as the oracle suite draws them."""
-    return random_polynomial(random.Random(k), 6)
+    """A seeded random f of degree <= 6 with integer coefficients in [-9, 9]."""
+    rng = random.Random(k)
+    return P([rng.randint(-9, 9) for _ in range(7)])
 
 
 def test_oracle_check_with_rules_and_random_inputs():
@@ -104,19 +104,12 @@ def test_oracle_check_with_rules_and_random_inputs():
         assert oracle_check(k, u=MIXED_U, f=drawn_f(k)).ok
         assert oracle_check(k, u=DECAYING_U, f=drawn_f(k)).ok
     rng = random.Random(123)
-    assert oracle_check(4, random_polynomial(rng, 4), random_polynomial(rng, 6)).ok
+    u = P([rng.randint(-9, 9) for _ in range(5)])
+    assert oracle_check(4, u, P([rng.randint(-9, 9) for _ in range(7)])).ok
     with pytest.raises(ValueError):
         oracle_check(0, Z(1), drawn_f(0))
     with pytest.raises(TypeError):  # a substitution rule is not a series
         oracle_check(2, u=INVERSE_Z, f=drawn_f(2))
-
-
-def test_random_polynomial_is_reproducible():
-    a = random_polynomial(random.Random(99), 4)
-    b = random_polynomial(random.Random(99), 4)
-    assert a == b
-    assert a.coeffs
-    assert all(c.denominator == 1 and abs(c) <= 9 for c in a.coeffs)
 
 
 def test_oracle_suite_counts_and_passes():
@@ -318,7 +311,7 @@ def test_inexact_values_are_rejected(build):
 def test_oracle_rejects_a_corrupted_expansion():
     exp = expand(4)
     rng = random.Random(11)
-    random_u = random_polynomial(rng, 4)
+    random_u = P([rng.randint(-9, 9) for _ in range(5)])
     f = P([rng.randint(1, 9) for _ in range(7)])  # degree 6 > 4: no f^(s) vanishes
     for u in (random_u, exp_taylor(1, 12)):
         brute = apply_A_repeated(u, f, 4)
