@@ -58,7 +58,6 @@ from __future__ import annotations
 import argparse
 import atexit
 import errno
-import functools
 import gc
 import os
 import sys
@@ -339,7 +338,18 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     suite ends; the extraction table is built at most once."""
     _check_cap(parser, "--k-max", args.k_max, 2)
     names = list(SUITE_ORDER) if args.suite == "all" else [args.suite]
-    table = functools.cache(lambda: _module("ctable").c_table_from_expansions(args.k_max))
+    built: list[CTable | ArithmeticError] = []  # the table, or the guard its build tripped
+
+    def table() -> CTable:
+        if not built:
+            try:
+                built.append(_module("ctable").c_table_from_expansions(args.k_max))
+            except ArithmeticError as err:
+                built.append(err)
+        if isinstance(built[0], ArithmeticError):
+            raise built[0]
+        return built[0]
+
     checks = failures = 0
     for name in names:
         try:

@@ -28,8 +28,6 @@ def binomial(n: int, r: int) -> int:
 
 def double_factorial_odd(n: int) -> int:
     """n!! for odd n >= 1, extended by (-1)!! = 1."""
-    if n == -1:
-        return 1
     if n < -1 or n % 2 == 0:
         raise ValueError(f"double_factorial_odd needs odd n >= -1, got {n}")
     out = 1
@@ -87,8 +85,6 @@ def bell(n: int) -> int:
     """Bell number B(n) via the Bell triangle (independent of stirling2)."""
     if n < 0:
         raise ValueError("bell needs n >= 0")
-    if n == 0:
-        return 1
     row = [1]
     for _ in range(n - 1):
         nxt = [row[-1]]

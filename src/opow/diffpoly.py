@@ -81,8 +81,6 @@ LATEX = Notation(
 
 
 def jet_symbol(j: int, notation: Notation = TEXT) -> str:
-    if j == 0:
-        return "u"
     if j <= 3:
         return "u" + "'" * j
     return notation.high_jet.format(j)
@@ -98,10 +96,8 @@ def monomial_str(exps: ExponentVector, notation: Notation = TEXT) -> str:
         sym = jet_symbol(j, notation)
         if e == 1:
             parts.append(sym)
-        elif j == 0:
-            parts.append(notation.power.format("u", e))
         else:
-            parts.append(notation.power.format(f"({sym})", e))
+            parts.append(notation.power.format(sym if j == 0 else f"({sym})", e))
     return " ".join(parts)
 
 
@@ -140,22 +136,19 @@ class DiffPolynomial(_Value):
 
     @classmethod
     def monomial(cls, coeff: int, exps: Iterable[int]) -> "DiffPolynomial":
-        t = trim(exps)
-        if coeff == 0:
-            return cls(())
-        return cls((DiffMonomial(coeff, t),))
+        return normalize([(coeff, exps)])
 
     @classmethod
     def u_power(cls, n: int) -> "DiffPolynomial":
-        """The monomial u^n; n = 0 gives the constant 1."""
-        if n < 0:
-            raise ValueError("u_power needs n >= 0")
+        """The monomial u^n; n = 0 gives the constant 1, n < 0 is a ValueError."""
         return cls.monomial(1, (n,))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __add__(self, other: "DiffPolynomial") -> "DiffPolynomial":
+        if not isinstance(other, DiffPolynomial):
+            return NotImplemented
         if not (self.terms and other.terms):  # a zero operand: the other is canonical
             return self if self.terms else other
         return normalize(self.terms + other.terms)
@@ -218,11 +211,8 @@ def total_derivative(p: DiffPolynomial) -> DiffPolynomial:
         for j, e in enumerate(exps):
             if e == 0:
                 continue
-            shifted = list(exps)
+            shifted = [*exps, 0]
             shifted[j] -= 1
-            if j + 1 < len(shifted):
-                shifted[j + 1] += 1
-            else:
-                shifted.append(1)
+            shifted[j + 1] += 1
             out.append(DiffMonomial(coeff * e, tuple(shifted)))
     return normalize(out)

@@ -60,7 +60,6 @@ from .expansion import OperatorExpansion, expand, expansions
 from .report import VerificationReport
 
 Exact = int | Fraction
-_INT_ONLY = frozenset({int})
 
 
 class LaurentSeries(_Value):
@@ -70,9 +69,7 @@ class LaurentSeries(_Value):
     coeffs: tuple[Exact, ...]
 
     def __init__(self, min_exp: int, coeffs: Sequence[Exact]) -> None:
-        # int arithmetic stays int, so only other types need coercing
-        if not _INT_ONLY.issuperset(map(type, coeffs)):
-            coeffs = [_exact(c) for c in coeffs]
+        coeffs = [_exact(c) for c in coeffs]
         lo, hi = 0, len(coeffs)
         while lo < hi and coeffs[lo] == 0:
             lo += 1
@@ -115,6 +112,8 @@ class LaurentSeries(_Value):
         return LaurentSeries(m - 1, coeffs)
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
+        if not isinstance(other, LaurentSeries):
+            return NotImplemented
         a, b = (self, other) if self.min_exp <= other.min_exp else (other, self)
         shift = b.min_exp - a.min_exp
         out = list(a.coeffs) + [0] * (shift + len(b.coeffs) - len(a.coeffs))

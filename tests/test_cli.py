@@ -836,6 +836,31 @@ def test_a_guard_tripping_inside_verify_is_that_suites_failed_check(capsys, monk
     assert lines[-1] == "overall: FAIL suites=10 checks=323 failures=1"
 
 
+def test_a_guard_tripped_building_the_table_is_kept_for_every_suite(capsys, monkeypatch):
+    # the failed build is not retried: each suite that reads the table
+    # reports the same guard
+    def extract_C(exp):
+        raise ArithmeticError(GUARD)
+
+    builds = []
+    real = ctable.c_table_from_expansions
+
+    def c_table_from_expansions(k_max):
+        builds.append(k_max)
+        return real(k_max)
+
+    monkeypatch.setattr(ctable, "extract_C", extract_C)
+    monkeypatch.setattr(ctable, "c_table_from_expansions", c_table_from_expansions)
+    code, out = run_cli(capsys, "verify", "--suite", "all", "--k-max", "5")
+    assert (code, builds) == (1, [5])
+    lines = out.splitlines()
+    guard = f"  FAIL guard: expected no error, actual ArithmeticError: {GUARD}"
+    assert [lines[i - 1].split()[1] for i, line in enumerate(lines) if line == guard] == [
+        "cross-check:", "binomial:", "stirling2:", "stirling1-sum:", "cycle-count:", "doublefact:"
+    ]
+    assert lines[-1] == "overall: FAIL suites=10 checks=389 failures=6"
+
+
 @pytest.mark.parametrize(
     "error, detail",
     [("TypeError('bad operand')", "TypeError: bad operand"), ("MemoryError()", "MemoryError")],

@@ -47,6 +47,17 @@ def test_normalize_cancellation_gives_zero():
     assert p == DiffPolynomial.zero()
 
 
+def test_monomial_is_canonical():
+    # trailing zero exponents are trimmed and a zero coefficient is the zero polynomial
+    assert DiffPolynomial.monomial(2, (1, 0, 0)) == DiffPolynomial.monomial(2, (1,))
+    assert DiffPolynomial.monomial(2, (1, 0, 0)).terms == (DiffMonomial(2, (1,)),)
+    assert DiffPolynomial.monomial(0, (0, 3)) == DiffPolynomial.zero()
+    with pytest.raises(ValueError):
+        DiffPolynomial.monomial(1, (-1,))
+    with pytest.raises(ValueError):
+        DiffPolynomial.u_power(-1)
+
+
 def test_normalize_graded_lex_order():
     # u'' has degree 1, u^2 degree 2, so u'' sorts first
     p = normalize([DiffMonomial(1, (2,)), DiffMonomial(1, (0, 0, 1))])
@@ -84,11 +95,17 @@ def test_scalar_multiplication():
 
 
 def test_int_operand_is_a_type_error():
-    # only a DiffPolynomial multiplies a DiffPolynomial, as with LaurentSeries
+    # only a DiffPolynomial multiplies or adds to a DiffPolynomial, as with LaurentSeries
     with pytest.raises(TypeError):
         2 * U
     with pytest.raises(TypeError):
         U * 2
+    with pytest.raises(TypeError):
+        U + 2
+    with pytest.raises(TypeError):
+        2 + U
+    with pytest.raises(TypeError):
+        DiffPolynomial.zero() + 2
 
 
 def test_str_rendering():

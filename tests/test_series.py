@@ -268,6 +268,7 @@ def test_arithmetic_matches_naive_reference(x, y):
 SCALAR_OPERATIONS = {
     "series-times-int": lambda a: a * 2,
     "int-times-series": lambda a: 2 * a,
+    "series-plus-int": lambda a: a + 1,
     "negation": lambda a: -a,
     "difference": lambda a: a - a,
 }
