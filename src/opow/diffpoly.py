@@ -9,6 +9,7 @@ canonical form is unique, equality of polynomials is plain equality of
 the underlying tuples.
 
 Coefficients are Python ints, so arithmetic is exact at any magnitude.
+Products and derivatives hand :func:`normalize` plain (coeff, exps) pairs.
 
 Besides ring arithmetic the module provides the total derivative: the
 derivation that sends u^(j) to u^(j+1) and acts on products by the
@@ -159,8 +160,7 @@ class DiffPolynomial(_Value):
         out = []
         for ca, ea in self.terms:
             for cb, eb in other.terms:
-                exps = tuple(x + y for x, y in zip_longest(ea, eb, fillvalue=0))
-                out.append(DiffMonomial(ca * cb, exps))
+                out.append((ca * cb, tuple(x + y for x, y in zip_longest(ea, eb, fillvalue=0))))
         return normalize(out)
 
     __rmul__ = __mul__
@@ -181,11 +181,12 @@ class DiffPolynomial(_Value):
         return self.render()
 
 
-def normalize(monomials: Iterable[DiffMonomial | tuple[int, Iterable[int]]]) -> DiffPolynomial:
-    """Canonical polynomial from any sequence of (coeff, exps) pairs.
+def normalize(monomials: Iterable[tuple[int, Iterable[int]]]) -> DiffPolynomial:
+    """Canonical polynomial from any (coeff, exps) pairs, exps any iterable of ints.
 
-    Like terms are merged, zero terms dropped, and the survivors sorted
-    in graded lexicographic order.
+    Every exps is validated and trimmed, like terms are merged and zero
+    terms dropped.  Every DiffMonomial is built here: one per surviving
+    term, in graded lexicographic order.
     """
     acc: dict[ExponentVector, int] = {}
     for coeff, exps in monomials:
@@ -209,10 +210,9 @@ def total_derivative(p: DiffPolynomial) -> DiffPolynomial:
     out = []
     for coeff, exps in p.terms:
         for j, e in enumerate(exps):
-            if e == 0:
-                continue
-            shifted = [*exps, 0]
-            shifted[j] -= 1
-            shifted[j + 1] += 1
-            out.append(DiffMonomial(coeff * e, tuple(shifted)))
+            if e:
+                shifted = [*exps, 0]
+                shifted[j] -= 1
+                shifted[j + 1] += 1
+                out.append((coeff * e, shifted))
     return normalize(out)

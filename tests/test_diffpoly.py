@@ -6,6 +6,7 @@ from opow.diffpoly import (
     DiffPolynomial,
     degree,
     normalize,
+    order_key,
     total_derivative,
     trim,
     weight,
@@ -164,3 +165,41 @@ def test_derivative_preserves_degree_raises_weight(coeff, exps):
     for m in d.terms:
         assert degree(m.exps) == base_deg
         assert weight(m.exps) == base_wt + 1
+
+
+def assert_canonical(p):
+    """Every term is a DiffMonomial with a nonzero coefficient and a trimmed
+    exponent tuple, and the terms run strictly up the graded lexicographic order."""
+    for m in p.terms:
+        assert type(m) is DiffMonomial
+        assert type(m.exps) is tuple
+        assert m.coeff != 0
+        assert m.exps == trim(m.exps)
+    keys = [order_key(m.exps) for m in p.terms]
+    assert keys == sorted(set(keys))
+
+
+@given(polys_st, polys_st)
+def test_products_sums_and_derivatives_are_canonical(a, b):
+    for p in (a * b, a + b, total_derivative(a), total_derivative(a * b)):
+        assert_canonical(p)
+
+
+pairs_st = st.lists(st.tuples(st.integers(min_value=-5, max_value=5), exps_st), max_size=6)
+
+
+@given(pairs_st)
+def test_normalize_takes_any_spelling_of_a_pair(pairs):
+    p = normalize(pairs)
+    assert_canonical(p)
+    assert normalize([(c, list(e)) for c, e in pairs]) == p
+    assert normalize([[c, e] for c, e in pairs]) == p
+    assert normalize([DiffMonomial(c, e) for c, e in pairs]) == p
+    assert normalize(iter(pairs)) == p
+
+
+def test_normalize_rejects_a_negative_exponent_in_a_list():
+    with pytest.raises(ValueError):
+        normalize([(1, [2, -1, 0])])
+    with pytest.raises(ValueError):
+        normalize([(1, (1,)), (1, [0, 0, -1])])
