@@ -32,11 +32,14 @@ All numeric output is exact: integers or rationals rendered p/q.  The
 executable lifts Python's limit on the digits of an int converted to a
 string (4300 by default), so no number is too long to print.
 
-The executable ends without the interpreter's final cyclic garbage
-collection: about 10 ms spent walking the objects of every loaded module
-just before the process frees them all.  ``atexit`` callbacks registered
-before it (coverage's, a profiler's) still run; importing this module or
-calling ``main`` changes nothing.
+The executable runs its command without the cyclic garbage collector,
+which would walk every live monomial (about 11% of ``expand --k 28``)
+and free nothing: opow's values form no reference cycles.  ``run()``
+gives the caller's state back.  The executable also ends without the
+interpreter's final collection: about 10 ms spent walking the objects of
+every loaded module just before the process frees them all.  ``atexit``
+callbacks registered before it (coverage's, a profiler's) still run;
+importing this module or calling ``main`` leaves the collector alone.
 
 Output is streamed by one rule: every command's output is a stream of
 chunks, each written and flushed as soon as it is built.  A chunk is one
@@ -443,13 +446,17 @@ def run() -> None:
     of ``--help``; a command's output goes through one writer, which
     flushes each chunk as it writes it.
 
-    At exit the interpreter skips its final cyclic garbage collection,
-    which would walk every object of every loaded module (about 10 ms)
-    just before the process frees them all: an ``atexit`` callback
+    The command runs without the cyclic garbage collector, which would
+    keep walking every live monomial (about 11% of ``expand --k 28``)
+    while opow's values form no reference cycles to free; the caller's
+    state of the collector comes back when the command ends.
+    At exit the interpreter still makes its final collection, enabled
+    collector or not, walking every object of every loaded module (about
+    10 ms) just before the process frees them all: an ``atexit`` callback
     registered here, and so run before any registered earlier, disables
     the collector and freezes every object.  The callbacks registered
-    earlier (coverage's, a profiler's) still run, after it.  Nothing
-    changes while the command runs, and ``main`` registers nothing.
+    earlier (coverage's, a profiler's) still run, after it.  ``main``
+    leaves the collector alone and registers nothing.
     """
     atexit.unregister(_skip_final_collection)  # once per process
     atexit.register(_skip_final_collection)
@@ -460,10 +467,15 @@ def run() -> None:
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         # the help text then fails at the flush below, not inside argparse
         sys.stdout.reconfigure(write_through=False)
+        enabled = gc.isenabled()
+        gc.disable()  # opow's values form no reference cycles: a collection frees nothing
         try:
             code = main()
         except SystemExit as exit_:  # how argparse ends --help and usage errors
             code = exit_.code
+        finally:
+            if enabled:
+                gc.enable()
         sys.stdout.flush()
     except OSError as err:
         # As the signal module docs advise for SIGPIPE: point stdout at

@@ -117,6 +117,9 @@ def compositions(s: int, m: int) -> list[tuple[int, ...]]:
             prefix.pop()
 
     fill(1, m, s, [])
+    # fill calls itself through its own cell, a cycle that would hold fill
+    # and out until a collection; emptying the cell ends it at return
+    del fill
     return out
 
 

@@ -37,7 +37,6 @@ and the direct route's u = 1/z against the same closed form.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from numbers import Rational
@@ -141,18 +140,19 @@ def specialize(exp: OperatorExpansion, rule: URule) -> tuple[SpecialTerm, ...]:
     (d_order, z_exp, exp_mult).
     """
     jets = _rule_jets(rule, exp.max_jet)
-
-    @functools.cache
-    def power(j: int, e: int) -> _ZFunction:
-        return {(0, 0): 1} if e == 0 else _jet_product(power(j, e - 1), jets[j])
-
+    # powers[j][e] is jets[j]^e, grown when a monomial first needs it: plain
+    # lists, so no closure refers to itself and the powers go at return
+    powers: list[list[_ZFunction]] = [[{(0, 0): 1}] for _ in jets]
     acc: dict[tuple[int, int, int], Rational] = {}
     for s in range(1, exp.k + 1):
         for coeff, exps in exp.coeffs[s].terms:
             prod: _ZFunction = {(0, 0): coeff}
             for j, e in enumerate(exps):
                 if e:
-                    prod = _jet_product(prod, power(j, e))
+                    row = powers[j]
+                    while len(row) <= e:
+                        row.append(_jet_product(row[-1], jets[j]))
+                    prod = _jet_product(prod, row[e])
             for (z_exp, emult), c in prod.items():
                 acc[s, z_exp, emult] = acc.get((s, z_exp, emult), 0) + c
     return tuple(

@@ -754,7 +754,7 @@ sys.argv = ["opow", "expand", "--k", "3"]
         # the executable: the final collection at interpreter exit has
         # nothing to walk
         ("cli.run()", "False True\n"),
-        # the collector is untouched until the exit itself
+        # the collector is off during the command and restored after it
         (
             "try:\n    cli.run()\nexcept SystemExit as exit_:\n"
             "    print(exit_.code, gc.isenabled(), gc.get_freeze_count(), file=sys.stderr)",
@@ -769,6 +769,77 @@ def test_executable_skips_the_final_collection_at_exit(body, err):
     proc = python_child("-c", GC_AT_EXIT + body, capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (0, err)
     assert proc.stdout.startswith("A^3 = ")
+
+
+def test_the_command_runs_without_the_collector():
+    script = """
+import gc, sys
+from opow import cli, expansion
+
+seen = []
+step = expansion.step
+
+def recording_step(exp):
+    seen.append(gc.isenabled())
+    return step(exp)
+
+expansion.step = recording_step
+sys.argv = ["opow", "expand", "--k", "3"]
+try:
+    cli.run()
+except SystemExit as exit_:
+    print(exit_.code, seen, gc.isenabled(), file=sys.stderr)
+"""
+    proc = python_child("-c", script, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "0 [False, False] True\n")
+    assert proc.stdout.startswith("A^3 = ")
+
+
+def garbage_of(fn):
+    """The objects that gc.collect() frees after fn ran with the collector
+    off: those that fn left in reference cycles."""
+    gc.collect()
+    gc.disable()
+    try:
+        fn()
+    finally:
+        left = gc.collect()
+        gc.enable()
+    return left
+
+
+# A command, with {} for its size, and two sizes to run it at.
+SIZED = [
+    *[(f"expand --k {{}} --format {fmt}", 4, 12) for fmt in ("text", "latex", "json")],
+    *[(f"expand --u {u} --k {{}}", 4, 16) for u in ("poly:-3/2,2,-1,3", "exp", "inv-z")],
+    *[(f"ctable --k-max {{}} --format {fmt}", 8, 14) for fmt in ("csv", "json")],
+    ("atable --k-max {}", 4, 15),
+    *[(f"stirling --kind {kind} --n-max {{}}", 4, 10) for kind in (1, 2)],
+    ("verify --suite all --k-max {}", 3, 8),
+]
+
+
+@pytest.mark.parametrize(
+    "command, small, large", SIZED, ids=[c.format(f"{a}|{b}") for c, a, b in SIZED]
+)
+def test_a_commands_garbage_does_not_grow_with_its_size(monkeypatch, command, small, large):
+    # without the collector, a cycle that every step or table entry made
+    # would stay until exit; what is left is argparse's parser alone
+    monkeypatch.setattr(sys, "stdout", Discard())
+    left = [garbage_of(lambda: main(command.format(n).split())) for n in (small, large)]
+    assert left[0] == left[1]
+
+
+@pytest.mark.parametrize(
+    "work",
+    [
+        lambda: combinat.compositions(12, 4),
+        lambda: special_u.specialize(expand(6), special_u.INVERSE_Z),
+    ],
+    ids=["compositions", "specialize"],
+)
+def test_a_recursive_walk_leaves_no_cycle(work):
+    assert garbage_of(work) == 0
 
 
 def test_failed_verification_exits_1_through_the_executable():
