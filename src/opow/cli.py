@@ -17,8 +17,9 @@ Exit codes: 0 all checks pass / output produced, 1 a verification
 failed (a guard that trips inside a suite is that suite's failed check),
 2 usage error, 70 an internal error (EX_SOFTWARE of sysexits.h: a bug,
 or memory ran out), 74 the output could not be written (EX_IOERR: a
-full disk, say), 141 the reader closed the output pipe early (the code
-a shell reports for a writer killed by SIGPIPE);
+full disk, say), 130 the run was interrupted (SIGINT, Ctrl-C: no
+traceback, nothing on stderr), 141 the reader closed the output pipe
+early (the code a shell reports for a writer killed by SIGPIPE);
 ``--help`` follows the same rule for 74 and 141, and both hold with
 stdout unbuffered (PYTHONUNBUFFERED) as without it.  A stdout closed
 before the start (``opow verify >&-``) exits 74 before any work.  The
@@ -437,6 +438,9 @@ def run() -> None:
     run with one stderr line, ``opow: internal error: <type>[: <message>]``,
     written if stderr can take it, and exit code 70; exit code 1 stays a
     failed check, a guard that trips inside a ``verify`` suite included.
+    An interrupt (SIGINT, Ctrl-C) ends it with exit code 130, the code a
+    shell reports for a command killed by SIGINT, and writes nothing to
+    stderr; stdout then goes to devnull, as for a closed pipe.
     Python's limit on the digits of an int rendered as a string is
     lifted, so output stays exact at every size.
 
@@ -477,12 +481,14 @@ def run() -> None:
             if enabled:
                 gc.enable()
         sys.stdout.flush()
-    except OSError as err:
+    except (OSError, KeyboardInterrupt) as err:
         # As the signal module docs advise for SIGPIPE: point stdout at
         # devnull so that the flush at interpreter exit cannot raise again.
         devnull = os.open(os.devnull, os.O_WRONLY)
         if sys.stdout is not None:
             os.dup2(devnull, sys.stdout.fileno())
+        if isinstance(err, KeyboardInterrupt):
+            sys.exit(130)  # 128 + SIGINT
         if isinstance(err, BrokenPipeError):
             sys.exit(141)  # 128 + SIGPIPE
         _complain(f"cannot write output: {err}")

@@ -21,9 +21,9 @@ def binomial(n: int, r: int) -> int:
     """Binomial coefficient; 0 whenever r is outside 0..n."""
     if n < 0:
         raise ValueError("binomial needs n >= 0")
-    if r < 0 or r > n:
+    if r < 0:
         return 0
-    return math.comb(n, r)
+    return math.comb(n, r)  # 0 for r > n
 
 
 def double_factorial_odd(n: int) -> int:

@@ -88,8 +88,6 @@ def jet_symbol(j: int, notation: Notation = TEXT) -> str:
 
 
 def monomial_str(exps: ExponentVector, notation: Notation = TEXT) -> str:
-    if not exps:
-        return "1"
     parts = []
     for j, e in enumerate(exps):
         if e == 0:
@@ -116,6 +114,15 @@ def signed_join(terms: Iterable[tuple[Rational, str]]) -> str:
         else:
             pieces.append(("+ " if coeff > 0 else "- ") + body)
     return " ".join(pieces) if pieces else "0"
+
+
+def term_body(mag: Rational, factor: str) -> str:
+    """A term body for :func:`signed_join`: the magnitude times the
+    factor, spelled as the factor alone for a magnitude of 1 and as the
+    magnitude alone for an empty factor."""
+    if not factor:
+        return str(mag)
+    return factor if mag == 1 else f"{mag} {factor}"
 
 
 class DiffPolynomial(_Value):
@@ -167,15 +174,9 @@ class DiffPolynomial(_Value):
 
     def render(self, notation: Notation = TEXT) -> str:
         """The polynomial as a signed sum in the given notation."""
-
-        def body(coeff: int, exps: ExponentVector) -> str:
-            mag = abs(coeff)
-            if not exps:
-                return str(mag)
-            mono = monomial_str(exps, notation)
-            return mono if mag == 1 else f"{mag} {mono}"
-
-        return signed_join((coeff, body(coeff, exps)) for coeff, exps in self.terms)
+        return signed_join(
+            (coeff, term_body(abs(coeff), monomial_str(exps, notation))) for coeff, exps in self.terms
+        )
 
     def __str__(self) -> str:
         return self.render()

@@ -8,7 +8,9 @@ normal-ordered form.
 :func:`oracle_suite` compares A^k f at the single point z = 0.  Each of
 its 50 trials draws the Taylor coefficients u_0..u_K and f_0..f_K
 (K = k_max) as seeded integers in [-2^32, 2^32] and takes them through
-every power k <= K:
+every power k <= K.  The suite walks the powers once, with the trials
+inside: it holds one power and each trial's jet of the power before.
+Each check compares two sides:
 
 * the literal side passes them to :func:`apply_A_repeated` as truncated
   Taylor jets (:class:`_Jet`), with their own derivative,
@@ -55,7 +57,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from . import _Value, _exact
-from .diffpoly import signed_join
+from .diffpoly import signed_join, term_body
 from .expansion import OperatorExpansion, expand, expansions
 from .report import VerificationReport
 
@@ -96,13 +98,10 @@ class LaurentSeries(_Value):
         ]
 
     def __str__(self) -> str:
-        def body(e: int, mag: Exact) -> str:
-            if e == 0:
-                return str(mag)
-            factor = "z" if e == 1 else f"z^{e}"
-            return factor if mag == 1 else f"{mag} {factor}"
-
-        return signed_join((c, body(e, abs(c))) for e, c in self.items())
+        factors = {0: "", 1: "z"}
+        return signed_join(
+            (c, term_body(abs(c), factors.get(e, f"z^{e}"))) for e, c in self.items()
+        )
 
     # arithmetic -----------------------------------------------------
 
@@ -187,38 +186,13 @@ def oracle_check(k: int, u: LaurentSeries, f: LaurentSeries) -> VerificationRepo
     return report
 
 
-# A monomial of a coefficient polynomial, read once for evaluation: its
-# coefficient and its jet powers (j, e) with e > 0.
-_Term = tuple[int, tuple[tuple[int, int], ...]]
-
-# One power of a plan: k and the monomials of each P_s.
-_Power = tuple[int, dict[int, list[_Term]]]
-
-
-def _plan(exps: Iterable[OperatorExpansion]) -> list[_Power]:
-    """What evaluating the expansions needs of them alone, in their order.
-
-    :func:`oracle_suite` builds it once and evaluates every trial on it.
-    """
-    return [
-        (
-            exp.k,
-            {
-                s: [
-                    (c, tuple((j, e) for j, e in enumerate(vector) if e))
-                    for c, vector in exp.coeffs[s].terms
-                ]
-                for s in range(1, exp.k + 1)
-            },
-        )
-        for exp in exps
-    ]
-
-
 def _evaluate(
-    polys: dict[int, list[_Term]], u_values: Sequence[int], f_values: Sequence[int]
+    polys: dict[int, list[tuple[int, list[tuple[int, int]]]]],
+    u_values: Sequence[int],
+    f_values: Sequence[int],
 ) -> int:
-    """A^k f at z = 0 from the normal-ordered form of one power:
+    """A^k f at z = 0 from the normal-ordered form of one power, each
+    P_s read as its monomials (c, [(j, e) with e > 0]):
     sum_s f_values[s] * sum c * prod u_values[j]^e, where u_values[j]
     is u^(j)(0) and f_values[s] is f^(s)(0)."""
     total = 0
@@ -255,24 +229,29 @@ class _Jet(_Value):
 
 def oracle_suite(k_max: int, seed: int = 0) -> VerificationReport:
     """50 seeded trials, each comparing A^k f at z = 0 for every power
-    k <= k_max by both routes (see the module docstring): literally, one
-    application of A per power to the previous power's jet, and by
-    evaluating every expansion of the walk on the drawn values."""
+    k <= k_max by both routes (see the module docstring).  The powers are
+    walked once, with the trials inside: each power is read once into the
+    form :func:`_evaluate` takes, then every trial applies A once more to
+    its jet of the power before and evaluates the power on its draws."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     report = VerificationReport(suite="oracle", k_max=k_max)
-    plan = _plan(expansions(k_max))
     factorials = [math.factorial(j) for j in range(k_max + 1)]
     rng = random.Random(seed)
-    for trial in range(1, 51):
-        u = tuple(rng.randint(-(2**32), 2**32) for _ in factorials)
-        f = tuple(rng.randint(-(2**32), 2**32) for _ in factorials)
-        u_values, f_values = list(map(mul, factorials, u)), list(map(mul, factorials, f))
-        u_jet, brute = _Jet(u), _Jet(f)
-        for k, polys in plan:
-            brute = apply_A_repeated(u_jet, brute, 1)
-            location = f"k={k} trial={trial}"
-            report.expect_equal(location, brute.coeffs[0], _evaluate(polys, u_values, f_values))
+    # trial i draws u, then f: draws[2i] and draws[2i + 1]
+    draws = [tuple(rng.randint(-(2**32), 2**32) for _ in factorials) for _ in range(100)]
+    values = [list(map(mul, factorials, d)) for d in draws]
+    u_jets = [_Jet(u) for u in draws[::2]]
+    jets = [_Jet(f) for f in draws[1::2]]  # A^k f of each trial, for the last k walked
+    for exp in expansions(k_max):
+        polys = {
+            s: [(c, [(j, e) for j, e in enumerate(v) if e]) for c, v in exp.coeffs[s].terms]
+            for s in range(1, exp.k + 1)
+        }
+        for i, u_jet in enumerate(u_jets):
+            jets[i] = apply_A_repeated(u_jet, jets[i], 1)
+            expected = _evaluate(polys, values[2 * i], values[2 * i + 1])
+            report.expect_equal(f"k={exp.k} trial={i + 1}", jets[i].coeffs[0], expected)
     return report
 
 

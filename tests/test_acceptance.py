@@ -12,6 +12,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from opow.combinat import (
     compositions,
     cycle_type_count,
@@ -131,10 +133,10 @@ def test_specializations():
     _conclude("u = z, e^z, 1/z specializations with row sums, k <= 10", report.ok)
 
 
-def test_specializations_at_the_default_cap():
+@pytest.mark.parametrize("k", [40, 300])
+def test_specializations_at_the_default_cap(k):
     # the direct z-function route against the independent tables, at the
-    # default OPOW_MAX_K, far past what specialize(expand(k)) can reach
-    k = 40
+    # default OPOW_MAX_K and far past it, where specialize(expand(k)) cannot reach
     inverse = a_table_by_recurrence(k)
     rows = {
         IDENTITY_Z: lambda s: SpecialTerm(Fraction(stirling2(k, s)), s, 0, s),

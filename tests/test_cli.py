@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -619,6 +620,31 @@ def test_closed_pipe_ends_a_long_table_early():
     # pipe then ends the run
     got = read_one_line_and_close("ctable", "--k-max", "30", timeout=10)
     assert got == (b"k,s,m,alpha,value\n", b"", 141)
+
+
+def test_an_interrupt_exits_130_with_nothing_on_stderr():
+    # SIGINT reaches opow while it builds the second power of a table that
+    # takes about 18 s in all; a child that ignores SIGINT, as one started
+    # in the background of a shell does, gets the default action back first
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "opow", "ctable", "--k-max", "30"],
+        cwd=REPO,
+        env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    )
+    killer = threading.Timer(60, proc.kill)
+    killer.start()
+    try:
+        first = proc.stdout.readline()
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate()
+    finally:
+        killer.cancel()
+        proc.kill()  # a no-op once the child has been reaped
+        proc.wait()
+    assert (first, err, proc.returncode) == (b"k,s,m,alpha,value\n", b"", 130)
 
 
 def test_verify_closed_pipe_after_the_first_report_exits_quietly():

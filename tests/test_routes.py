@@ -79,7 +79,14 @@ def opow_calls(route):
 
 def routes():
     exp = expansion.expand(K)
-    plan = series._plan(expansion.expansions(K))
+    # each power's P_s as the monomials (c, [(j, e) with e > 0]) that _evaluate takes
+    polys = [
+        {
+            s: [(c, [(j, e) for j, e in enumerate(v) if e]) for c, v in p.terms]
+            for s, p in power.coeffs.items()
+        }
+        for power in expansion.expansions(K)
+    ]
     rule = special_u.polynomial_u([1, -2, 3])
     # Taylor coefficients of u and f at z = 0, and the values there of their derivatives
     u, f = (1, -2, 3, 0, 4, -1, 2), (2, 0, 1, 5, -3, 1, 1)
@@ -97,7 +104,7 @@ def routes():
         ],
         "oracle literal side": lambda: series.apply_A_repeated(series._Jet(u), series._Jet(f), K),
         "oracle expansion side": lambda: [
-            series._evaluate(polys, u_values, f_values) for _, polys in plan
+            series._evaluate(terms, u_values, f_values) for terms in polys
         ],
     }
 

@@ -118,6 +118,25 @@ def test_oracle_suite_counts_and_passes():
     assert report.checks == 150
 
 
+def test_oracle_suite_walks_the_powers_once_with_the_trials_inside(monkeypatch):
+    log = []
+    walk, apply = series.expansions, series.apply_A_repeated
+
+    def logged_walk(k_max):
+        for exp in walk(k_max):
+            log.append(f"power {exp.k}")
+            yield exp
+
+    def logged_apply(u, f, k):
+        log.append("apply")
+        return apply(u, f, k)
+
+    monkeypatch.setattr(series, "expansions", logged_walk)
+    monkeypatch.setattr(series, "apply_A_repeated", logged_apply)
+    assert oracle_suite(4, seed=7).ok
+    assert log == [entry for k in range(1, 5) for entry in [f"power {k}"] + ["apply"] * 50]
+
+
 def bump_coefficient(exp, s, i, delta=1):
     """exp with the i-th coefficient of its P_s moved by delta."""
     p = exp.coeffs[s]
