@@ -105,9 +105,6 @@ _SUITES: dict[str, Callable[[int, int, Callable[[], CTable]], VerificationReport
 
 SUITE_ORDER = tuple(_SUITES)
 
-# The named substitutions of --u and the special_u rule each one names.
-_NAMED_U = {"z": "IDENTITY_Z", "exp": "EXP_Z", "inv-z": "INVERSE_Z"}
-
 
 def _max_k(parser: argparse.ArgumentParser) -> int:
     raw = os.environ.get("OPOW_MAX_K", "")
@@ -238,8 +235,9 @@ def _parse_u(parser: argparse.ArgumentParser, choice: str) -> URule | None:
         return None
     from . import special_u
 
-    if choice in _NAMED_U:
-        return getattr(special_u, _NAMED_U[choice])
+    named = {"z": special_u.IDENTITY_Z, "exp": special_u.EXP_Z, "inv-z": special_u.INVERSE_Z}
+    if choice in named:
+        return named[choice]
     if choice.startswith("poly:"):
         import re
         from fractions import Fraction

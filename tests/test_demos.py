@@ -22,4 +22,5 @@ def test_demo_runs_to_the_end(name):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr == b""
     assert proc.stdout == (REPO / "tests" / "demo_output" / f"{name}.txt").read_bytes()
